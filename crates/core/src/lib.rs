@@ -98,7 +98,7 @@ pub use protocol::{
 pub use reach::{link_success, pow_det, reach, reach_recursive, MessageVector};
 pub use scenario::{
     FaultAction, FaultScript, FaultSink, Scenario, ScenarioBuilder, ScenarioReport, ScenarioSim,
-    ScriptSchedule, ShardedScenarioSim, Workload, WorkloadEvent,
+    ScriptSchedule, Workload, WorkloadEvent,
 };
 pub use tree::{ReliabilityTree, SharedWireTree, WireTree};
 pub use waterfill::{optimize_budget_waterfill, optimize_waterfill};

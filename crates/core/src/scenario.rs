@@ -45,7 +45,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use diffuse_model::{Configuration, LinkId, Probability, ProcessId, Topology};
-use diffuse_sim::{CrashModel, Metrics, ShardedKernel, SimOptions, SimTime, Simulation};
+use diffuse_sim::{CrashModel, Metrics, ShardedKernel, SimOptions, SimTime};
 
 use crate::adversary::{Containment, CorruptionMode, ProtocolAudit};
 use crate::protocol::{Event, Payload, Protocol, ProtocolActor};
@@ -151,12 +151,11 @@ pub enum FaultAction {
     },
     /// Restore every link to the scenario's base configuration.
     Heal,
-    /// Force a process down for `down_ticks` ticks. The simulation kernel
-    /// executes this through `Simulation::force_down`; the fabric executes
-    /// it *cooperatively* — the node's runtime drops inbound traffic and
-    /// suppresses timers for the window, then fires
-    /// [`Event::Recovery`](crate::Event::Recovery) — so no substrate
-    /// reports it as skipped.
+    /// Force a process down for `down_ticks` ticks. The simulation engine
+    /// executes this through `ShardedKernel::force_down`; the fabric
+    /// executes it *cooperatively* — the node's runtime drops inbound
+    /// traffic and suppresses timers for the window, then fires
+    /// [`Event::Recovery`] — so no substrate reports it as skipped.
     Crash {
         /// The crashing process.
         process: ProcessId,
@@ -195,9 +194,8 @@ pub enum FaultAction {
 /// link's loss and force a process down. [`FaultAction::apply`] maps
 /// every fault variant onto these, so the mapping exists exactly once.
 ///
-/// Implemented by the simulation kernel's [`Simulation`] directly;
-/// `diffuse-net`'s fabric runners supply small adapters over their
-/// control handles.
+/// The simulation driver ([`ScenarioSim`]) and `diffuse-net`'s fabric
+/// runners each supply one small adapter over their control handles.
 pub trait FaultSink {
     /// Overrides one link's loss probability for future transmissions.
     fn set_loss(&mut self, link: LinkId, loss: Probability);
@@ -217,36 +215,6 @@ pub trait FaultSink {
     fn set_message_adversary(&mut self, d: u32, window: u64) -> bool {
         let _ = (d, window);
         false
-    }
-}
-
-impl<A: diffuse_sim::Actor> FaultSink for Simulation<A> {
-    fn set_loss(&mut self, link: LinkId, loss: Probability) {
-        Simulation::set_loss(self, link, loss);
-    }
-
-    fn force_down(&mut self, process: ProcessId, down_ticks: u64) {
-        Simulation::force_down(self, process, down_ticks);
-    }
-
-    fn set_message_adversary(&mut self, d: u32, window: u64) -> bool {
-        Simulation::set_message_adversary(self, d, window);
-        true
-    }
-}
-
-impl<A: diffuse_sim::Actor> FaultSink for ShardedKernel<A> {
-    fn set_loss(&mut self, link: LinkId, loss: Probability) {
-        ShardedKernel::set_loss(self, link, loss);
-    }
-
-    fn force_down(&mut self, process: ProcessId, down_ticks: u64) {
-        ShardedKernel::force_down(self, process, down_ticks);
-    }
-
-    fn set_message_adversary(&mut self, d: u32, window: u64) -> bool {
-        ShardedKernel::set_message_adversary(self, d, window);
-        true
     }
 }
 
@@ -390,24 +358,22 @@ impl Scenario {
             .with_crash_model(self.crash_model)
     }
 
-    /// Instantiates the scenario on the simulation kernel, one protocol
-    /// per process built by `make`.
-    pub fn sim<P: Protocol>(&self, make: impl FnMut(ProcessId) -> P) -> ScenarioSim<P> {
-        ScenarioSim::new(self, make)
+    /// Instantiates the scenario on the simulation engine with one
+    /// worker, one protocol per process built by `make`.
+    pub fn sim<P: Protocol + Send>(&self, make: impl FnMut(ProcessId) -> P) -> ScenarioSim<P> {
+        ScenarioSim::new(self, 1, make)
     }
 
-    /// Convenience: instantiate on the kernel, run `ticks`, report.
-    pub fn run_sim<P: Protocol>(
+    /// Convenience: instantiate with one worker, run `ticks`, report.
+    pub fn run_sim<P: Protocol + Send>(
         &self,
         ticks: u64,
         make: impl FnMut(ProcessId) -> P,
     ) -> ScenarioReport {
-        let mut run = self.sim(make);
-        run.run_ticks(ticks);
-        run.report()
+        self.run_sim_sharded(ticks, 1, make)
     }
 
-    /// Instantiates the scenario on the sharded executor with `workers`
+    /// Instantiates the scenario on the simulation engine with `workers`
     /// worker threads (see [`ShardedKernel`] for the determinism
     /// contract — self-reproducible per `(seed, workers)`, identical to
     /// [`Scenario::sim`] when `workers == 1`).
@@ -415,11 +381,11 @@ impl Scenario {
         &self,
         workers: usize,
         make: impl FnMut(ProcessId) -> P,
-    ) -> ShardedScenarioSim<P> {
-        ShardedScenarioSim::new(self, workers, make)
+    ) -> ScenarioSim<P> {
+        ScenarioSim::new(self, workers, make)
     }
 
-    /// Convenience: instantiate on the sharded executor, run `ticks`,
+    /// Convenience: instantiate on `workers` workers, run `ticks`,
     /// report.
     pub fn run_sim_sharded<P: Protocol + Send>(
         &self,
@@ -647,13 +613,17 @@ impl ScriptSchedule {
     }
 }
 
-/// A scenario instantiated on the simulation kernel: owns the
-/// [`Simulation`] plus a [`ScriptSchedule`] over the workload and fault
-/// scripts, and applies script events at exactly their scheduled times
-/// while the clock advances (fast-forwarding through idle stretches
-/// whenever the kernel allows it).
+/// A scenario instantiated on the simulation engine: owns the
+/// [`ShardedKernel`] (one or more workers) plus a [`ScriptSchedule`] over
+/// the workload and fault scripts, and applies script events at exactly
+/// their scheduled times while the clock advances (fast-forwarding
+/// through idle stretches whenever the engine allows it).
+///
+/// Script events — faults and broadcasts — are applied between run
+/// segments, while no worker thread is live, so every worker observes
+/// each one at the same tick barrier.
 pub struct ScenarioSim<P: Protocol> {
-    sim: Simulation<ProtocolActor<P>>,
+    sim: ShardedKernel<ProtocolActor<P>>,
     topology: Topology,
     base_config: Configuration,
     script: ScriptSchedule,
@@ -667,19 +637,22 @@ impl<P: Protocol> std::fmt::Debug for ScenarioSim<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ScenarioSim")
             .field("now", &self.sim.now())
+            .field("workers", &self.sim.workers())
             .field("script", &self.script)
             .finish_non_exhaustive()
     }
 }
 
-impl<P: Protocol> ScenarioSim<P> {
-    /// Instantiates `scenario` on the kernel, one protocol per process.
-    pub fn new(scenario: &Scenario, mut make: impl FnMut(ProcessId) -> P) -> Self {
-        let sim = Simulation::new(
+impl<P: Protocol + Send> ScenarioSim<P> {
+    /// Instantiates `scenario` on `workers` engine workers (clamped to
+    /// `1..=process count`), one protocol per process.
+    pub fn new(scenario: &Scenario, workers: usize, mut make: impl FnMut(ProcessId) -> P) -> Self {
+        let sim = ShardedKernel::new(
             scenario.topology.clone(),
             scenario.config.clone(),
             |id| ProtocolActor::new(make(id)),
             scenario.sim_options(),
+            workers,
         );
         ScenarioSim {
             sim,
@@ -691,14 +664,14 @@ impl<P: Protocol> ScenarioSim<P> {
         }
     }
 
-    /// The underlying simulation (metrics, node access, time).
-    pub fn sim(&self) -> &Simulation<ProtocolActor<P>> {
+    /// The underlying engine (metrics, node access, time).
+    pub fn sim(&self) -> &ShardedKernel<ProtocolActor<P>> {
         &self.sim
     }
 
-    /// Mutable access to the underlying simulation (extra fault
-    /// injection, manual commands).
-    pub fn sim_mut(&mut self) -> &mut Simulation<ProtocolActor<P>> {
+    /// Mutable access to the underlying engine (extra fault injection,
+    /// manual commands between segments).
+    pub fn sim_mut(&mut self) -> &mut ShardedKernel<ProtocolActor<P>> {
         &mut self.sim
     }
 
@@ -713,19 +686,17 @@ impl<P: Protocol> ScenarioSim<P> {
         self.script.pending()
     }
 
-    /// The earliest unapplied script event or deferred retry strictly
-    /// after `now`.
-    fn next_script_time(&self) -> Option<SimTime> {
-        self.script.next_time()
-    }
-
     /// Applies every script event due at or before the current time —
     /// faults before broadcasts at equal times, each script in time
     /// order — and retries deferred broadcasts.
     fn apply_due_events(&mut self) {
         let now = self.sim.now();
         for action in self.script.due_faults(now) {
-            self.apply_fault(&action);
+            if let FaultAction::Corrupt { process, .. } = &action {
+                self.corrupt.insert(*process);
+            }
+            let mut sink = ScriptSink { sim: &mut self.sim };
+            self.skipped_faults += action.apply(&self.topology, &self.base_config, &mut sink);
         }
         for event in self.script.due_broadcasts(now) {
             self.issue_broadcast(event);
@@ -750,31 +721,25 @@ impl<P: Protocol> ScenarioSim<P> {
         }
     }
 
-    fn apply_fault(&mut self, action: &FaultAction) {
-        if let FaultAction::Corrupt { process, .. } = action {
-            self.corrupt.insert(*process);
-        }
-        let mut sink = KernelScriptSink { sim: &mut self.sim };
-        self.skipped_faults += action.apply(&self.topology, &self.base_config, &mut sink);
-    }
-
     /// Containment metrics assembled from per-node protocol audits, the
-    /// scripted liar set, and the kernel's suppression counter.
+    /// scripted liar set, and the engine's suppression counter.
     pub fn containment(&self) -> Containment {
         let audits: BTreeMap<ProcessId, ProtocolAudit> = self
             .sim
             .nodes()
             .map(|(id, actor)| (id, actor.protocol().audit()))
             .collect();
-        Containment::assemble(
-            &self.corrupt,
-            &audits,
-            self.sim.metrics().suppressed_by_adversary(),
-        )
+        Containment::assemble(&self.corrupt, &audits, self.sim.suppressed_by_adversary())
+    }
+
+    /// The end of the next run segment: the earliest script event due
+    /// by `end`, else `end`.
+    fn segment_end(&self, end: SimTime) -> SimTime {
+        self.script.next_time().filter(|&t| t <= end).unwrap_or(end)
     }
 
     /// Advances `n` ticks, applying script events at their scheduled
-    /// times. Idle stretches between events fast-forward when the kernel
+    /// times. Idle stretches between events fast-forward when the engine
     /// allows it.
     ///
     /// An event scheduled exactly at the run's final tick is *not*
@@ -783,13 +748,9 @@ impl<P: Protocol> ScenarioSim<P> {
     /// fabric runner draws the same boundary.
     pub fn run_ticks(&mut self, n: u64) {
         let end = self.sim.now() + n;
-        loop {
-            let now = self.sim.now();
-            if now >= end {
-                break;
-            }
+        while self.sim.now() < end {
             self.apply_due_events();
-            let target = self.next_script_time().filter(|&t| t <= end).unwrap_or(end);
+            let target = self.segment_end(end);
             self.sim.run_ticks(target - self.sim.now());
         }
     }
@@ -799,244 +760,25 @@ impl<P: Protocol> ScenarioSim<P> {
     /// after `max_ticks`.
     pub fn run_until_every(
         &mut self,
-        mut predicate: impl FnMut(&Simulation<ProtocolActor<P>>) -> bool,
+        mut predicate: impl FnMut(&ShardedKernel<ProtocolActor<P>>) -> bool,
         check_every: u64,
         max_ticks: u64,
     ) -> Option<SimTime> {
         let end = self.sim.now() + max_ticks;
-        loop {
-            let now = self.sim.now();
-            if now >= end {
-                return None;
-            }
+        while self.sim.now() < end {
             self.apply_due_events();
-            let target = self.next_script_time().filter(|&t| t <= end).unwrap_or(end);
-            if let Some(hit) =
-                self.sim
-                    .run_until_every(&mut predicate, check_every, target - self.sim.now())
-            {
+            let target = self.segment_end(end);
+            let ticks = target - self.sim.now();
+            if let Some(hit) = self.sim.run_until_every(&mut predicate, check_every, ticks) {
                 return Some(hit);
             }
         }
+        None
     }
 
-    /// The run's outcome so far. Broadcasts still deferred when the
-    /// report is taken count as failed — they never issued.
-    pub fn report(&self) -> ScenarioReport {
-        ScenarioReport {
-            delivered: self
-                .sim
-                .nodes()
-                .map(|(id, actor)| (id, actor.protocol().delivered().len() as u64))
-                .collect(),
-            failed_broadcasts: self.script.failed_broadcasts() + self.script.pending(),
-            skipped_faults: self.skipped_faults,
-            containment: self.containment(),
-            metrics: Some(self.sim.metrics().clone()),
-        }
-    }
-}
-
-/// The kernel driver's fault sink: loss and crash hooks delegate to the
-/// [`Simulation`], and — because the driver knows its actors are
-/// [`ProtocolActor`]s — corruption windows are injected as
-/// [`Event::Corrupt`] through a live context, with the resulting sends
-/// flushed like any handler's.
-struct KernelScriptSink<'a, P: Protocol> {
-    sim: &'a mut Simulation<ProtocolActor<P>>,
-}
-
-impl<P: Protocol> FaultSink for KernelScriptSink<'_, P> {
-    fn set_loss(&mut self, link: LinkId, loss: Probability) {
-        self.sim.set_loss(link, loss);
-    }
-
-    fn force_down(&mut self, process: ProcessId, down_ticks: u64) {
-        self.sim.force_down(process, down_ticks);
-    }
-
-    fn inject_corrupt(&mut self, process: ProcessId, mode: CorruptionMode, window: u64) -> bool {
-        self.sim.command(process, |actor, ctx| {
-            actor.inject_event(ctx, Event::Corrupt { mode, window });
-        })
-    }
-
-    fn set_message_adversary(&mut self, d: u32, window: u64) -> bool {
-        self.sim.set_message_adversary(d, window);
-        true
-    }
-}
-
-/// [`KernelScriptSink`]'s twin for the sharded executor (commands run on
-/// the coordinator between segments, so the injection lands at a tick
-/// barrier on every shard).
-struct ShardedScriptSink<'a, P: Protocol + Send> {
-    sim: &'a mut ShardedKernel<ProtocolActor<P>>,
-}
-
-impl<P: Protocol + Send> FaultSink for ShardedScriptSink<'_, P> {
-    fn set_loss(&mut self, link: LinkId, loss: Probability) {
-        self.sim.set_loss(link, loss);
-    }
-
-    fn force_down(&mut self, process: ProcessId, down_ticks: u64) {
-        self.sim.force_down(process, down_ticks);
-    }
-
-    fn inject_corrupt(&mut self, process: ProcessId, mode: CorruptionMode, window: u64) -> bool {
-        self.sim.command(process, |actor, ctx| {
-            actor.inject_event(ctx, Event::Corrupt { mode, window });
-        })
-    }
-
-    fn set_message_adversary(&mut self, d: u32, window: u64) -> bool {
-        self.sim.set_message_adversary(d, window);
-        true
-    }
-}
-
-/// A scenario instantiated on the sharded executor: the same
-/// [`ScriptSchedule`] semantics as [`ScenarioSim`], driving a
-/// [`ShardedKernel`] instead of the spec kernel.
-///
-/// Script events — faults and broadcasts — are applied by the
-/// coordinator *between* run segments, while no worker thread is live;
-/// every shard therefore observes each fault at the same tick barrier.
-/// Deferred-broadcast retries, fault-before-workload ordering at equal
-/// times, and pending-counts-as-failed reporting all reuse
-/// [`ScriptSchedule`] unchanged, so the sharded driver cannot drift
-/// from the kernel driver's script semantics.
-pub struct ShardedScenarioSim<P: Protocol + Send> {
-    sim: ShardedKernel<ProtocolActor<P>>,
-    topology: Topology,
-    base_config: Configuration,
-    script: ScriptSchedule,
-    skipped_faults: u64,
-    corrupt: BTreeSet<ProcessId>,
-}
-
-impl<P: Protocol + Send> std::fmt::Debug for ShardedScenarioSim<P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedScenarioSim")
-            .field("now", &self.sim.now())
-            .field("workers", &self.sim.workers())
-            .field("script", &self.script)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<P: Protocol + Send> ShardedScenarioSim<P> {
-    /// Instantiates `scenario` on the sharded executor with `workers`
-    /// worker threads (clamped to `1..=process count`).
-    pub fn new(scenario: &Scenario, workers: usize, mut make: impl FnMut(ProcessId) -> P) -> Self {
-        let sim = ShardedKernel::new(
-            scenario.topology.clone(),
-            scenario.config.clone(),
-            |id| ProtocolActor::new(make(id)),
-            scenario.sim_options(),
-            workers,
-        );
-        ShardedScenarioSim {
-            sim,
-            topology: scenario.topology.clone(),
-            base_config: scenario.config.clone(),
-            script: ScriptSchedule::new(scenario),
-            skipped_faults: 0,
-            corrupt: BTreeSet::new(),
-        }
-    }
-
-    /// The underlying sharded executor (metrics, node access, time).
-    pub fn sim(&self) -> &ShardedKernel<ProtocolActor<P>> {
-        &self.sim
-    }
-
-    /// Mutable access to the underlying executor (extra fault
-    /// injection, manual commands between segments).
-    pub fn sim_mut(&mut self) -> &mut ShardedKernel<ProtocolActor<P>> {
-        &mut self.sim
-    }
-
-    /// Scripted broadcasts that failed non-retryably at issue time.
-    pub fn failed_broadcasts(&self) -> u64 {
-        self.script.failed_broadcasts()
-    }
-
-    /// Scripted broadcasts currently deferred, awaiting their next
-    /// per-tick retry.
-    pub fn pending_broadcasts(&self) -> u64 {
-        self.script.pending()
-    }
-
-    /// Applies every script event due at or before the current time —
-    /// faults before broadcasts at equal times (the same boundary as
-    /// [`ScenarioSim`]). Runs on the coordinator between segments.
-    fn apply_due_events(&mut self) {
-        let now = self.sim.now();
-        for action in self.script.due_faults(now) {
-            if let FaultAction::Corrupt { process, .. } = &action {
-                self.corrupt.insert(*process);
-            }
-            let mut sink = ShardedScriptSink { sim: &mut self.sim };
-            self.skipped_faults += action.apply(&self.topology, &self.base_config, &mut sink);
-        }
-        for event in self.script.due_broadcasts(now) {
-            self.issue_broadcast(event);
-        }
-    }
-
-    /// Containment metrics assembled from per-node protocol audits, the
-    /// scripted liar set, and the shards' suppression counters.
-    pub fn containment(&self) -> Containment {
-        let audits: BTreeMap<ProcessId, ProtocolAudit> = self
-            .sim
-            .nodes()
-            .map(|(id, actor)| (id, actor.protocol().audit()))
-            .collect();
-        Containment::assemble(
-            &self.corrupt,
-            &audits,
-            self.sim.metrics().suppressed_by_adversary(),
-        )
-    }
-
-    /// Issues one scripted broadcast; retryable outcomes defer to the
-    /// next tick exactly as in [`ScenarioSim::run_ticks`]'s driver.
-    fn issue_broadcast(&mut self, event: WorkloadEvent) {
-        let now = self.sim.now();
-        let mut outcome = Ok(());
-        let issued = self.sim.command(event.origin, |actor, ctx| {
-            outcome = actor.broadcast_now(ctx, event.payload.clone()).map(|_| ());
-        });
-        let retry = !issued || matches!(outcome, Err(crate::CoreError::KnowledgeIncomplete));
-        if retry {
-            self.script.defer(now + 1, event);
-        } else if outcome.is_err() {
-            self.script.record_failed();
-        }
-    }
-
-    /// Advances `n` ticks, applying script events at their scheduled
-    /// times (at tick barriers — no worker thread is live while a
-    /// script event applies). Idle stretches between events
-    /// fast-forward when every shard agrees nothing is due.
-    pub fn run_ticks(&mut self, n: u64) {
-        let end = self.sim.now() + n;
-        loop {
-            let now = self.sim.now();
-            if now >= end {
-                break;
-            }
-            self.apply_due_events();
-            let target = self.script.next_time().filter(|&t| t <= end).unwrap_or(end);
-            self.sim.run_ticks(target - self.sim.now());
-        }
-    }
-
-    /// The run's outcome so far, field-compatible with
-    /// [`ScenarioSim::report`]: per-process deliveries in id order,
-    /// pending broadcasts counted as failed, shard metrics merged in
-    /// shard order.
+    /// The run's outcome so far: per-process deliveries in id order,
+    /// wire metrics merged in worker order. Broadcasts still deferred
+    /// when the report is taken count as failed — they never issued.
     pub fn report(&self) -> ScenarioReport {
         ScenarioReport {
             delivered: self
@@ -1049,6 +791,36 @@ impl<P: Protocol + Send> ShardedScenarioSim<P> {
             containment: self.containment(),
             metrics: Some(self.sim.metrics()),
         }
+    }
+}
+
+/// The driver's fault sink: loss, crash and adversary hooks delegate to
+/// the engine, and — because the driver knows its actors are
+/// [`ProtocolActor`]s — corruption windows are injected as
+/// [`Event::Corrupt`] through a live context, with the resulting sends
+/// flushed like any handler's.
+struct ScriptSink<'a, P: Protocol> {
+    sim: &'a mut ShardedKernel<ProtocolActor<P>>,
+}
+
+impl<P: Protocol> FaultSink for ScriptSink<'_, P> {
+    fn set_loss(&mut self, link: LinkId, loss: Probability) {
+        self.sim.set_loss(link, loss);
+    }
+
+    fn force_down(&mut self, process: ProcessId, down_ticks: u64) {
+        self.sim.force_down(process, down_ticks);
+    }
+
+    fn inject_corrupt(&mut self, process: ProcessId, mode: CorruptionMode, window: u64) -> bool {
+        self.sim.command(process, |actor, ctx| {
+            actor.inject_event(ctx, Event::Corrupt { mode, window });
+        })
+    }
+
+    fn set_message_adversary(&mut self, d: u32, window: u64) -> bool {
+        self.sim.set_message_adversary(d, window);
+        true
     }
 }
 

@@ -44,14 +44,13 @@ use bytes::Bytes;
 use diffuse_core::{corrupt_heartbeat, CorruptionMode, HeartbeatView, Message};
 use diffuse_model::{LinkId, Probability, ProcessId};
 use diffuse_sim::{LossBatcher, MessageAdversary, Metrics, SimTime};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::clock::monotonic_now;
 use crate::codec::{decode_message, encode_message, frame_kind};
-use crate::{NetError, Transport};
+use crate::{lock, NetError, Transport};
 
 /// Caps a single receive budget so `Instant + Duration` arithmetic
 /// cannot overflow on absurd inputs.
@@ -187,12 +186,12 @@ pub struct ChaosControl {
 impl ChaosControl {
     /// Sets one link's egress loss probability (overrides the default).
     pub fn set_link_loss(&self, link: LinkId, p: Probability) {
-        self.shared.state.lock().policy.link_loss.insert(link, p);
+        lock(&self.shared.state).policy.link_loss.insert(link, p);
     }
 
     /// Sets the egress loss probability for links without an override.
     pub fn set_default_loss(&self, p: Probability) {
-        self.shared.state.lock().policy.default_loss = p;
+        lock(&self.shared.state).policy.default_loss = p;
     }
 
     /// Sets (or clears) the ingress hold-back range. Frames are delayed
@@ -200,17 +199,17 @@ impl ChaosControl {
     /// reorder. `None` restores immediate, ordered release.
     pub fn set_delay(&self, range: Option<(Duration, Duration)>) {
         let range = range.map(|(a, b)| (a.min(b), a.max(b)));
-        self.shared.state.lock().policy.delay = range;
+        lock(&self.shared.state).policy.delay = range;
     }
 
     /// Sets the probability that an egress frame is sent twice.
     pub fn set_duplicate(&self, p: Probability) {
-        self.shared.state.lock().policy.duplicate = p;
+        lock(&self.shared.state).policy.duplicate = p;
     }
 
     /// Enters or leaves a wire-level blackout window.
     pub fn set_mute(&self, mute: bool) {
-        self.shared.state.lock().policy.mute = mute;
+        lock(&self.shared.state).policy.mute = mute;
     }
 
     /// Opens a lying-node window: for the next `window` of wall time,
@@ -219,7 +218,7 @@ impl ChaosControl {
     /// [`adversary_seed`](diffuse_core::adversary_seed) so the same
     /// scripted liar draws the same schedule on every substrate).
     pub fn set_corrupt(&self, mode: CorruptionMode, window: Duration, seed: u64) {
-        let mut state = self.shared.state.lock();
+        let mut state = lock(&self.shared.state);
         state.liar_rng = StdRng::seed_from_u64(seed);
         state.stale = None;
         state.corrupt = Some((mode, monotonic_now() + window));
@@ -229,7 +228,7 @@ impl ChaosControl {
     /// sender's emissions per `window_ticks` logical ticks of `tick`
     /// wall time each, starting now. `d == 0` deactivates.
     pub fn set_message_adversary(&self, d: u32, window_ticks: u64, tick: Duration) {
-        let mut state = self.shared.state.lock();
+        let mut state = lock(&self.shared.state);
         state.adversary_epoch = monotonic_now();
         state.adversary_tick = tick.max(Duration::from_micros(1));
         state.adversary.configure(d, window_ticks, SimTime::ZERO);
@@ -237,17 +236,17 @@ impl ChaosControl {
 
     /// Egress frames destroyed by the message adversary so far.
     pub fn suppressed(&self) -> u64 {
-        self.shared.state.lock().adversary.suppressed()
+        lock(&self.shared.state).adversary.suppressed()
     }
 
     /// Egress heartbeats rewritten by lying-node windows so far.
     pub fn corrupted(&self) -> u64 {
-        self.shared.state.lock().counters.corrupted
+        lock(&self.shared.state).counters.corrupted
     }
 
     /// A snapshot of the injected-fault counters.
     pub fn counters(&self) -> ChaosCounters {
-        self.shared.state.lock().counters
+        lock(&self.shared.state).counters
     }
 
     /// A best-effort [`Metrics`] snapshot of the wire traffic this
@@ -256,7 +255,7 @@ impl ChaosControl {
     /// plus transient send losses, and `delivered` counts frames
     /// released to the node (before decoding).
     pub fn metrics(&self) -> Metrics {
-        let state = self.shared.state.lock();
+        let state = lock(&self.shared.state);
         let mut m = Metrics::new();
         for (&(link, kind), &n) in &state.sent_cells {
             m.record_sent_batch(link, kind, n);
@@ -272,7 +271,7 @@ impl ChaosControl {
     /// [`ChaosControl::metrics`] — the exact form the cluster worker
     /// serializes over its control channel.
     pub fn sent_cells(&self) -> Vec<(LinkId, &'static str, u64)> {
-        let state = self.shared.state.lock();
+        let state = lock(&self.shared.state);
         state
             .sent_cells
             .iter()
@@ -282,7 +281,7 @@ impl ChaosControl {
 
     /// Ingress frames released to the node, per frame kind.
     pub fn delivered_cells(&self) -> Vec<(&'static str, u64)> {
-        let state = self.shared.state.lock();
+        let state = lock(&self.shared.state);
         state
             .delivered_cells
             .iter()
@@ -292,7 +291,7 @@ impl ChaosControl {
 
     /// Frames destroyed on egress (chaos loss + transient send loss).
     pub fn lost(&self) -> u64 {
-        self.shared.state.lock().lost
+        lock(&self.shared.state).lost
     }
 }
 
@@ -359,7 +358,7 @@ impl<T: Transport> ChaosTransport<T> {
     /// release instant.
     fn enqueue_arrival(&mut self, now: Instant, from: ProcessId, frame: Vec<u8>) {
         let delay = {
-            let mut state = self.shared.state.lock();
+            let mut state = lock(&self.shared.state);
             if state.policy.mute {
                 state.counters.muted += 1;
                 return;
@@ -391,7 +390,7 @@ impl<T: Transport> ChaosTransport<T> {
         }
         let (from, frame) = self.holdback.remove(&key).expect("first key exists");
         let kind = frame_kind(&frame);
-        let mut state = self.shared.state.lock();
+        let mut state = lock(&self.shared.state);
         *state.delivered_cells.entry(kind).or_insert(0) += 1;
         drop(state);
         Some((from, frame))
@@ -409,7 +408,7 @@ impl<T: Transport> Transport for ChaosTransport<T> {
         let link = LinkId::new(from, to).ok();
         // One state lock per send: sample every decision at once.
         let (copies, rewritten) = {
-            let mut state = self.shared.state.lock();
+            let mut state = lock(&self.shared.state);
             if state.policy.mute {
                 state.counters.muted += 1;
                 return Ok(());
@@ -466,7 +465,7 @@ impl<T: Transport> Transport for ChaosTransport<T> {
                 Ok(()) => {}
                 Err(e) if e.is_transient() => {
                     // The wire ate it: that is loss, not failure.
-                    let mut state = self.shared.state.lock();
+                    let mut state = lock(&self.shared.state);
                     state.counters.transient_send_loss += 1;
                     state.lost += 1;
                 }
@@ -504,7 +503,7 @@ impl<T: Transport> Transport for ChaosTransport<T> {
                 }
                 Ok(None) => {}
                 Err(e) if e.is_transient() => {
-                    self.shared.state.lock().counters.transient_recv += 1;
+                    lock(&self.shared.state).counters.transient_recv += 1;
                 }
                 Err(e) => return Err(e),
             }

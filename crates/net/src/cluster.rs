@@ -36,9 +36,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
 use std::process::{Child, ChildStdin, Command, Stdio};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use diffuse_core::scenario::{FaultSink, Scenario, ScenarioReport, ScriptSchedule};
 use diffuse_core::{
     adversary_seed, AdaptiveBroadcast, AdaptiveParams, Containment, CorruptionMode,
@@ -481,7 +481,7 @@ fn worker_main(spec: &str) -> Result<(), NetError> {
 
     // Remaining commands arrive on a reader thread so the main loop can
     // pump deliveries concurrently; EOF (parent death) reads as Stop.
-    let (cmd_tx, cmd_rx) = unbounded::<WorkerCommand>();
+    let (cmd_tx, cmd_rx) = channel::<WorkerCommand>();
     std::thread::spawn(move || {
         for line in std::io::stdin().lock().lines() {
             let Ok(line) = line else { break };
@@ -747,7 +747,7 @@ impl UdpCluster {
         protocol: ProtocolSpec,
         options: UdpClusterOptions,
     ) -> Result<Self, NetError> {
-        let (events_tx, events_rx) = unbounded();
+        let (events_tx, events_rx) = channel();
         let mut cluster = UdpCluster {
             topology: topology.clone(),
             base_config: config.clone(),

@@ -8,7 +8,7 @@
 //!   [`Message`](diffuse_core::Message) (hand-written over [`bytes`],
 //!   property-tested for round-trips and decoder totality);
 //! * [`Transport`] — the frame-transport abstraction, with two
-//!   implementations: the lossy in-memory [`Fabric`] (crossbeam channels
+//!   implementations: the lossy in-memory [`Fabric`] (`std::sync::mpsc` channels
 //!   with per-link Bernoulli loss — the simulator's network model on real
 //!   threads) and [`UdpTransport`] (one datagram per frame);
 //! * [`spawn_node`] — a per-node runtime thread that decodes frames,
@@ -56,3 +56,13 @@ pub use soak::{run_soak, SoakOptions, SoakReport};
 pub use transport::{Fabric, FabricControl, FabricTransport, Transport};
 pub use udp::{UdpTransport, MAX_DATAGRAM};
 pub use virtual_time::{BroadcastOutcome, VirtualClock, VirtualNet, VirtualOptions};
+
+/// Locks `mutex`, ignoring poisoning. Every update made under these
+/// locks (a counter bump, a table insert, one RNG draw) leaves the data
+/// valid, so a thread that panicked while holding one fails only its own
+/// node or run, and the data stays usable for everyone else.
+fn lock<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -17,18 +17,18 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use diffuse_core::{
     Actions, BroadcastId, CoreError, CorruptionMode, Event, Payload, Protocol, ProtocolAudit,
 };
 use diffuse_sim::{SimTime, TimerId};
-use parking_lot::Mutex;
 
 use crate::clock::{Clock, WallClock, WallSession};
 use crate::codec::{decode_message, encode_message};
+use crate::lock;
 use crate::virtual_time::{BroadcastOutcome, Turn, VirtualClock};
 use crate::{NetError, Transport};
 
@@ -163,8 +163,8 @@ impl NodeHandle {
     ) -> Result<Option<(BroadcastId, Payload)>, NetError> {
         match self.deliveries.recv_timeout(timeout) {
             Ok(d) => Ok(Some(d)),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Ok(None),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => Err(NetError::Closed),
+            Err(RecvTimeoutError::Timeout) => Ok(None),
+            Err(RecvTimeoutError::Disconnected) => Err(NetError::Closed),
         }
     }
 
@@ -202,7 +202,7 @@ impl NodeHandle {
     /// channel.
     pub fn shutdown_with_audit(mut self) -> ProtocolAudit {
         self.shutdown_in_place();
-        self.final_audit.lock().take().unwrap_or_default()
+        lock(&self.final_audit).take().unwrap_or_default()
     }
 
     fn shutdown_in_place(&mut self) {
@@ -255,8 +255,8 @@ where
     P: Protocol + Send + 'static,
     T: Transport + 'static,
 {
-    let (command_tx, command_rx) = unbounded::<Command>();
-    let (delivery_tx, delivery_rx) = unbounded::<(BroadcastId, Payload)>();
+    let (command_tx, command_rx) = channel::<Command>();
+    let (delivery_tx, delivery_rx) = channel::<(BroadcastId, Payload)>();
     let wakeups = Arc::new(AtomicU64::new(0));
     let wakeup_counter = Arc::clone(&wakeups);
     let malformed = Arc::new(AtomicU64::new(0));
@@ -459,7 +459,7 @@ fn run_wall_node<P, T>(
             Err(_) => break 'run,
         }
     }
-    *audit_slot.lock() = Some(protocol.audit());
+    *lock(&audit_slot) = Some(protocol.audit());
 }
 
 /// The virtual-clock turn loop: executes exactly the handler invocations
@@ -538,7 +538,7 @@ fn run_virtual_node<P, T>(
         };
         clock.complete_turn(timer_ops, outcome, audit);
     }
-    *audit_slot.lock() = Some(protocol.audit());
+    *lock(&audit_slot) = Some(protocol.audit());
 }
 
 /// Moves the timer operations a handler emitted into the runtime's

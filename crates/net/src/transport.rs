@@ -1,17 +1,17 @@
 //! The transport abstraction and the lossy in-memory fabric.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use diffuse_model::{Configuration, LinkId, Probability, ProcessId, Topology};
 use diffuse_sim::{LossBatcher, Metrics};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::codec::frame_kind;
+use crate::lock;
 use crate::virtual_time::{VirtualCore, VirtualNet, VirtualOptions};
 use crate::NetError;
 
@@ -71,7 +71,7 @@ struct FabricShared {
 }
 
 /// A lossy in-memory network connecting a set of [`FabricTransport`]s
-/// through crossbeam channels.
+/// through `std::sync::mpsc` channels.
 ///
 /// Frames are only deliverable along topology links, and each
 /// transmission is dropped with the link's configured loss probability —
@@ -163,7 +163,7 @@ impl Fabric {
         let mut inboxes = BTreeMap::new();
         let mut receivers = BTreeMap::new();
         for p in topology.processes() {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             inboxes.insert(p, tx);
             receivers.insert(p, rx);
         }
@@ -202,7 +202,7 @@ pub struct FabricControl {
 impl FabricControl {
     /// Changes a link's loss probability for all future transmissions.
     pub fn set_loss(&self, link: LinkId, p: Probability) {
-        self.shared.loss.lock().set_loss(link, p);
+        lock(&self.shared.loss).set_loss(link, p);
     }
 
     /// The fabric's topology.
@@ -220,7 +220,7 @@ impl FabricControl {
     /// receiver-down accounting. Useful for dashboards and sanity
     /// checks; use the virtual-time fabric for bit-exact metrics.
     pub fn metrics(&self) -> Metrics {
-        self.shared.metrics.lock().clone()
+        lock(&self.shared.metrics).clone()
     }
 }
 
@@ -235,7 +235,7 @@ pub struct FabricTransport {
 impl FabricTransport {
     /// Changes a link's loss probability at runtime (fault injection).
     pub fn set_loss(&self, link: LinkId, p: Probability) {
-        self.shared.loss.lock().set_loss(link, p);
+        lock(&self.shared.loss).set_loss(link, p);
     }
 
     /// Drains any immediately available frame without blocking.
@@ -265,22 +265,22 @@ impl Transport for FabricTransport {
         // One metrics guard per send: every node thread shares this
         // mutex, so the hot path must not re-acquire it per counter.
         let Ok(link) = LinkId::new(self.id, to) else {
-            self.shared.metrics.lock().record_invalid_batch(1);
+            lock(&self.shared.metrics).record_invalid_batch(1);
             return Err(NetError::UnknownPeer(to));
         };
         if !self.shared.topology.contains_link(link) {
-            self.shared.metrics.lock().record_invalid_batch(1);
+            lock(&self.shared.metrics).record_invalid_batch(1);
             return Err(NetError::UnknownPeer(to));
         }
         let kind = frame_kind(frame);
-        let loss = self.shared.loss.lock().loss(link);
+        let loss = lock(&self.shared.loss).loss(link);
         let lost = !loss.is_zero() && {
-            let mut guard = self.shared.rng.lock();
+            let mut guard = lock(&self.shared.rng);
             let (rng, runs) = &mut *guard;
             runs.should_drop(self.id, to, loss.value(), rng)
         };
         if lost {
-            let mut metrics = self.shared.metrics.lock();
+            let mut metrics = lock(&self.shared.metrics);
             metrics.record_sent_batch(link, kind, 1);
             metrics.record_lost();
             return Ok(()); // dropped on the (virtual) wire
@@ -293,7 +293,7 @@ impl Transport for FabricTransport {
             .map_err(|_| NetError::Closed)?;
         // "Delivered" = enqueued to the peer's inbox (see
         // FabricControl::metrics for why this is best effort).
-        let mut metrics = self.shared.metrics.lock();
+        let mut metrics = lock(&self.shared.metrics);
         metrics.record_sent_batch(link, kind, 1);
         metrics.record_delivered(kind);
         Ok(())
@@ -305,8 +305,8 @@ impl Transport for FabricTransport {
     ) -> Result<Option<(ProcessId, Vec<u8>)>, NetError> {
         match self.receiver.recv_timeout(timeout) {
             Ok(frame) => Ok(Some(frame)),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Ok(None),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => Err(NetError::Closed),
+            Err(RecvTimeoutError::Timeout) => Ok(None),
+            Err(RecvTimeoutError::Disconnected) => Err(NetError::Closed),
         }
     }
 }

@@ -1,4 +1,14 @@
-//! The discrete-event simulation kernel.
+//! The simulation engine: the one copy of the tick.
+//!
+//! A [`Simulation`] owns the network (topology, loss table, options) and
+//! one or more *workers*, each a contiguous id range of processes with
+//! its own in-flight heap, timers, RNG stream and metrics. The tick's
+//! phases, the outbox flush, timer handling and the fast-forward test
+//! are written here once and serve every worker count: one worker runs
+//! the loop inline on the caller's thread, and [`crate::ShardedKernel`]
+//! runs `W > 1` workers on threads, exchanging their cross-range mail at
+//! a tick barrier. The virtual-time fabric in `diffuse-net` writes the
+//! tick independently and is the oracle for its phase and draw order.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
@@ -10,7 +20,8 @@ use rand::SeedableRng;
 use crate::adversary::MessageAdversary;
 use crate::crash::CrashState;
 use crate::loss::LossBatcher;
-use crate::{CrashModel, Metrics, SimTime, TimerId};
+use crate::shard::partition;
+use crate::{shard_seed, CrashModel, Metrics, SimTime, TimerId};
 
 /// A message that can travel through the simulated network.
 ///
@@ -94,25 +105,6 @@ pub struct Context<'a, M> {
     outbox: &'a mut Vec<(ProcessId, M)>,
     timer_ops: &'a mut Vec<(TimerId, Option<SimTime>)>,
 }
-
-impl<'a, M> Context<'a, M> {
-    /// Crate-internal constructor, shared with the sharded executor so
-    /// both kernels hand actors the exact same handler surface.
-    pub(crate) fn internal_new(
-        now: SimTime,
-        id: ProcessId,
-        outbox: &'a mut Vec<(ProcessId, M)>,
-        timer_ops: &'a mut Vec<(TimerId, Option<SimTime>)>,
-    ) -> Self {
-        Context {
-            now,
-            id,
-            outbox,
-            timer_ops,
-        }
-    }
-}
-
 impl<M> Context<'_, M> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
@@ -195,11 +187,23 @@ impl SimOptions {
     }
 }
 
-/// A message in flight, ordered by `(arrival time, sequence number)`.
-#[derive(Debug, Clone)]
-struct Flight<M> {
+/// Bits of [`Flight::order`] holding the source worker's send sequence;
+/// the source worker's index sits above them.
+const SEQ_BITS: u32 = 48;
+
+/// The most workers [`Flight::order`] can tell apart.
+const MAX_WORKERS: usize = 1 << (64 - SEQ_BITS);
+
+/// A message in flight, ordered by `(at, order)`.
+#[derive(Debug)]
+pub(crate) struct Flight<M> {
     at: SimTime,
-    seq: u64,
+    /// The source worker's index above its send sequence, so `(at,
+    /// order)` is the merge key `(arrival, source worker, send order)`:
+    /// no thread interleaving can perturb it, and with one worker it is
+    /// plain send order. Packed into one word to keep the heap's
+    /// elements small.
+    order: u64,
     from: ProcessId,
     to: ProcessId,
     message: M,
@@ -207,7 +211,7 @@ struct Flight<M> {
 
 impl<M> PartialEq for Flight<M> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        (self.at, self.order) == (other.at, other.order)
     }
 }
 
@@ -221,7 +225,7 @@ impl<M> PartialOrd for Flight<M> {
 
 impl<M> Ord for Flight<M> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+        (self.at, self.order).cmp(&(other.at, other.order))
     }
 }
 
@@ -231,15 +235,515 @@ struct Node<A> {
 }
 
 /// Per-destination cache for one outbox flush: link validity, loss
-/// probability, stagger offset, and per-kind sent counts are resolved
-/// once per destination instead of once per message.
+/// probability, owning worker, stagger offset, and per-kind sent counts
+/// are resolved once per destination instead of once per message.
 struct BurstSlot {
     to: ProcessId,
     /// `None`: invalid destination (non-neighbor, self-loop, unknown).
     link: Option<LinkId>,
     loss: f64,
+    worker: usize,
     stagger: u64,
     sent: Vec<(&'static str, u64)>,
+}
+
+/// What one worker contributes to the clock decision; [`Status::merge`]
+/// combines workers into the status of the whole system.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Status {
+    /// The earliest pending delivery or timer deadline.
+    next_wake: Option<SimTime>,
+    /// Processes in a forced outage (fast-forward would skip their
+    /// per-tick countdown).
+    forced_outages: usize,
+}
+
+impl Status {
+    pub(crate) fn merge(self, other: Status) -> Status {
+        Status {
+            next_wake: earliest(self.next_wake, other.next_wake),
+            forced_outages: self.forced_outages + other.forced_outages,
+        }
+    }
+}
+
+fn earliest(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
+}
+
+/// What every worker reads and none writes while ticks run. Fault
+/// scripts change the loss table only between `run_ticks` calls, so all
+/// workers observe a change at the same tick.
+pub(crate) struct Net {
+    topology: Topology,
+    loss: Configuration,
+    options: SimOptions,
+    /// First process id of each worker's range, ascending.
+    boundaries: Vec<ProcessId>,
+    /// `true` while every actor is event-driven (`wants_ticks == false`):
+    /// the `on_tick` phase is skipped and eventless ticks may be
+    /// fast-forwarded.
+    event_driven: bool,
+}
+
+impl Net {
+    /// The worker whose id range would hold `id`.
+    fn worker_of(&self, id: ProcessId) -> usize {
+        self.boundaries
+            .partition_point(|&b| b <= id)
+            .saturating_sub(1)
+    }
+}
+
+/// One worker: a contiguous id range of processes plus everything a tick
+/// touches — in-flight heap, timers, RNG stream, metrics.
+pub(crate) struct Shard<A: Actor> {
+    pub(crate) index: u32,
+    nodes: BTreeMap<ProcessId, Node<A>>,
+    ids: Vec<ProcessId>,
+    rng: StdRng,
+    /// Batched per-(sender, destination) loss sampling (see
+    /// [`LossBatcher`] for the draw-order contract). Senders belong to
+    /// this worker, so the cell tables of different workers are disjoint.
+    loss_runs: LossBatcher,
+    /// Scheduled message adversary on this worker's suppression stream
+    /// (see [`MessageAdversary`] for the draw-order contract). Inactive
+    /// by default, so adversary-free runs draw nothing from it.
+    adversary: MessageAdversary,
+    now: SimTime,
+    /// Ticks actually executed (fast-forwarded ticks are not counted).
+    busy_ticks: u64,
+    /// [`Flight::order`] of this worker's next send.
+    next_order: u64,
+    in_flight: BinaryHeap<Reverse<Flight<A::Message>>>,
+    /// Pending timer deadlines, one per `(process, timer)` pair …
+    timers: BTreeMap<(ProcessId, TimerId), SimTime>,
+    /// … mirrored as a deadline-ordered queue for due-scans and wakes.
+    timer_queue: BTreeSet<(SimTime, ProcessId, TimerId)>,
+    outbox: Vec<(ProcessId, A::Message)>,
+    timer_ops: Vec<(TimerId, Option<SimTime>)>,
+    /// Reused buffers for the timer phase and [`Shard::flush_outbox`].
+    due_scratch: Vec<(ProcessId, TimerId)>,
+    flush_scratch: Vec<(ProcessId, A::Message)>,
+    burst_scratch: Vec<BurstSlot>,
+    /// Sends into other workers' ranges, per destination worker, handed
+    /// over at the next tick barrier. Unused with one worker.
+    pub(crate) outbound: Vec<Vec<Flight<A::Message>>>,
+    pub(crate) metrics: Metrics,
+    forced_outages: usize,
+}
+
+impl<A: Actor> Shard<A> {
+    fn new(
+        index: u32,
+        ids: &[ProcessId],
+        make_actor: &mut impl FnMut(ProcessId) -> A,
+        run_seed: u64,
+        workers: usize,
+    ) -> Self {
+        let seed = shard_seed(run_seed, index);
+        Shard {
+            index,
+            nodes: ids
+                .iter()
+                .map(|&id| {
+                    let actor = make_actor(id);
+                    let crash = CrashState::new();
+                    (id, Node { actor, crash })
+                })
+                .collect(),
+            ids: ids.to_vec(),
+            rng: StdRng::seed_from_u64(seed),
+            loss_runs: LossBatcher::new(),
+            adversary: MessageAdversary::inactive(seed),
+            now: SimTime::ZERO,
+            busy_ticks: 0,
+            next_order: u64::from(index) << SEQ_BITS,
+            in_flight: BinaryHeap::new(),
+            timers: BTreeMap::new(),
+            timer_queue: BTreeSet::new(),
+            outbox: Vec::new(),
+            timer_ops: Vec::new(),
+            due_scratch: Vec::new(),
+            flush_scratch: Vec::new(),
+            burst_scratch: Vec::new(),
+            outbound: (0..workers).map(|_| Vec::new()).collect(),
+            metrics: Metrics::new(),
+            forced_outages: 0,
+        }
+    }
+
+    fn is_up(&self, id: ProcessId) -> bool {
+        self.nodes.get(&id).is_some_and(|n| n.crash.up)
+    }
+
+    fn force_down(&mut self, id: ProcessId, ticks: u64) {
+        if let Some(node) = self.nodes.get_mut(&id) {
+            if node.crash.forced_down_remaining == 0 {
+                self.forced_outages += 1;
+            }
+            node.crash.force_down(ticks);
+        }
+    }
+
+    /// The earliest pending delivery or timer deadline on this worker.
+    fn next_wake(&self) -> Option<SimTime> {
+        earliest(
+            self.in_flight.peek().map(|Reverse(f)| f.at),
+            self.timer_queue.first().map(|&(at, _, _)| at),
+        )
+    }
+
+    /// This worker's share of the clock decision.
+    pub(crate) fn status(&self) -> Status {
+        Status {
+            next_wake: self.next_wake(),
+            forced_outages: self.forced_outages,
+        }
+    }
+
+    /// Queues messages other workers addressed to this one. The heap's
+    /// merge key makes the order of arrival irrelevant.
+    pub(crate) fn accept(&mut self, batch: &mut Vec<Flight<A::Message>>) {
+        self.in_flight.extend(batch.drain(..).map(Reverse));
+    }
+
+    /// Runs `f` for the actor at `id` with a context, then applies timer
+    /// operations and flushes sends.
+    fn with_actor(
+        &mut self,
+        net: &Net,
+        id: ProcessId,
+        f: impl FnOnce(&mut A, &mut Context<'_, A::Message>),
+    ) {
+        let now = self.now;
+        let Some(node) = self.nodes.get_mut(&id) else {
+            return;
+        };
+        let mut outbox = std::mem::take(&mut self.outbox);
+        let mut timer_ops = std::mem::take(&mut self.timer_ops);
+        {
+            let mut ctx = Context {
+                now,
+                id,
+                outbox: &mut outbox,
+                timer_ops: &mut timer_ops,
+            };
+            f(&mut node.actor, &mut ctx);
+        }
+        self.outbox = outbox;
+        self.timer_ops = timer_ops;
+        self.apply_timer_ops(id);
+        self.flush_outbox(net, id);
+    }
+
+    /// Applies buffered set/cancel timer operations for `id`.
+    fn apply_timer_ops(&mut self, id: ProcessId) {
+        if self.timer_ops.is_empty() {
+            return;
+        }
+        let mut ops = std::mem::take(&mut self.timer_ops);
+        for (timer, op) in ops.drain(..) {
+            let key = (id, timer);
+            if let Some(old) = self.timers.remove(&key) {
+                self.timer_queue.remove(&(old, id, timer));
+            }
+            if let Some(at) = op {
+                self.timers.insert(key, at);
+                self.timer_queue.insert((at, id, timer));
+            }
+        }
+        self.timer_ops = ops;
+    }
+
+    /// Fires every pending timer with a deadline at or before `now` whose
+    /// process is up, ordered by `(process, timer)` — the same order the
+    /// legacy per-tick phase visited processes. Loops so that timers
+    /// armed by recoveries or deliveries for the current tick still fire
+    /// on it; timers of down processes stay pending until recovery.
+    fn fire_due_timers(&mut self, net: &Net) {
+        loop {
+            let mut due = std::mem::take(&mut self.due_scratch);
+            due.clear();
+            for &(at, id, timer) in self.timer_queue.iter() {
+                if at > self.now {
+                    break;
+                }
+                if self.is_up(id) {
+                    due.push((id, timer));
+                }
+            }
+            if due.is_empty() {
+                self.due_scratch = due;
+                return;
+            }
+            due.sort_unstable();
+            for &(id, timer) in due.iter() {
+                // An earlier handler in this pass may have cancelled or
+                // re-armed this timer; fire only if it is still due.
+                let Some(&at) = self.timers.get(&(id, timer)) else {
+                    continue;
+                };
+                if at > self.now {
+                    continue;
+                }
+                self.timers.remove(&(id, timer));
+                self.timer_queue.remove(&(at, id, timer));
+                self.with_actor(net, id, |actor, ctx| actor.on_timer(ctx, timer));
+            }
+            self.due_scratch = due;
+        }
+    }
+
+    /// Loss-samples and schedules everything the last handler sent.
+    ///
+    /// In the paper's model a process sends *one* message per step, so
+    /// when a handler emits several messages to the same destination
+    /// (e.g. the `m⃗[j]` copies of Algorithm 1), they are staggered one
+    /// tick apart. This keeps per-copy failures independent — delivering
+    /// a whole burst in one tick would make one receiver-crash sample
+    /// destroy every copy at once.
+    ///
+    /// This is the Monte-Carlo inner loop: link validation and loss
+    /// probabilities are resolved once per distinct destination of the
+    /// burst (a small linear cache instead of per-message map walks), and
+    /// sent-message metrics are recorded in per-destination batches. Loss
+    /// decisions come from the batched geometric sampler ([`LossBatcher`])
+    /// rather than one `gen_bool` per message: the RNG is consulted only
+    /// when a lossy cell needs a fresh run length, in send order per the
+    /// sampler's documented total order, so seeded streams stay frozen
+    /// and the virtual-time fabric replays this loop bit-exactly.
+    /// Scheduled messages go to this worker's heap or, when the receiver
+    /// belongs to another worker, to that worker's outbound batch.
+    fn flush_outbox(&mut self, net: &Net, from: ProcessId) {
+        // Drain into a persistent scratch buffer: scheduling needs
+        // `&mut self`, and reusing the buffer keeps the flush
+        // allocation-free in steady state.
+        let mut pending = std::mem::take(&mut self.flush_scratch);
+        std::mem::swap(&mut pending, &mut self.outbox);
+        // Slots from previous flushes are recycled in place (their
+        // per-kind Vecs keep their allocations); `live` marks how many
+        // belong to *this* flush.
+        let mut slots = std::mem::take(&mut self.burst_scratch);
+        let mut live = 0usize;
+        let mut invalid = 0u64;
+        for (to, message) in pending.drain(..) {
+            let slot_index = match slots[..live].iter().position(|s| s.to == to) {
+                Some(i) => i,
+                None => {
+                    let link = LinkId::new(from, to)
+                        .ok()
+                        .filter(|&l| net.topology.contains_link(l));
+                    let loss = link.map(|l| net.loss.loss(l).value()).unwrap_or(0.0);
+                    let worker = net.worker_of(to);
+                    if live == slots.len() {
+                        slots.push(BurstSlot {
+                            to,
+                            link,
+                            loss,
+                            worker,
+                            stagger: 0,
+                            sent: Vec::new(),
+                        });
+                    } else {
+                        let slot = &mut slots[live];
+                        slot.to = to;
+                        slot.link = link;
+                        slot.loss = loss;
+                        slot.worker = worker;
+                        slot.stagger = 0;
+                        slot.sent.clear();
+                    }
+                    live += 1;
+                    live - 1
+                }
+            };
+            let slot = &mut slots[slot_index];
+            if slot.link.is_none() {
+                invalid += 1;
+                continue;
+            }
+            // Sent metrics count pre-loss copies, batched per kind.
+            let kind = message.kind();
+            match slot.sent.iter_mut().find(|(k, _)| *k == kind) {
+                Some((_, n)) => *n += 1,
+                None => slot.sent.push((kind, 1)),
+            }
+            // The message adversary acts before link loss and consumes
+            // no loss draws (it has its own stream), so surviving
+            // messages see the exact loss schedule of an adversary-free
+            // run.
+            if self.adversary.should_suppress(from, self.now) {
+                self.metrics.record_suppressed();
+                continue;
+            }
+            if slot.loss > 0.0
+                && self
+                    .loss_runs
+                    .should_drop(from, to, slot.loss, &mut self.rng)
+            {
+                self.metrics.record_lost();
+                continue;
+            }
+            let flight = Flight {
+                at: self.now + net.options.link_delay + slot.stagger,
+                order: self.next_order,
+                from,
+                to,
+                message,
+            };
+            slot.stagger += 1;
+            self.next_order += 1;
+            if slot.worker == self.index as usize {
+                self.in_flight.push(Reverse(flight));
+            } else {
+                self.outbound[slot.worker].push(flight);
+            }
+        }
+        if invalid > 0 {
+            self.metrics.record_invalid_batch(invalid);
+        }
+        for slot in slots[..live].iter() {
+            if let Some(link) = slot.link {
+                for &(kind, n) in &slot.sent {
+                    self.metrics.record_sent_batch(link, kind, n);
+                }
+            }
+        }
+        self.flush_scratch = pending;
+        self.burst_scratch = slots;
+    }
+
+    /// Advances this worker's processes by one tick (see [`Simulation`]
+    /// for the phases).
+    fn step(&mut self, net: &Net) {
+        self.now += 1;
+        self.busy_ticks += 1;
+
+        // Phase 1: crash/recovery transitions, id order.
+        let model = net.options.crash_model;
+        let mut recovered: Vec<(ProcessId, u64)> = Vec::new();
+        for (&id, node) in self.nodes.iter_mut() {
+            let was_forced = node.crash.forced_down_remaining > 0;
+            if let Some(downtime) = node.crash.advance(&model, &mut self.rng) {
+                recovered.push((id, downtime));
+            }
+            if was_forced && node.crash.forced_down_remaining == 0 {
+                self.forced_outages -= 1;
+            }
+        }
+        for (id, downtime) in recovered {
+            self.with_actor(net, id, |actor, ctx| actor.on_recover(ctx, downtime));
+        }
+
+        // Phase 2: deliveries due this tick, in merge-key order.
+        while let Some(Reverse(flight)) = self.in_flight.peek() {
+            if flight.at > self.now {
+                break;
+            }
+            let Reverse(flight) = self.in_flight.pop().expect("peeked");
+            if !self.is_up(flight.to) {
+                self.metrics.record_dropped_receiver_down();
+                continue;
+            }
+            self.metrics.record_delivered(flight.message.kind());
+            let (from, to, message) = (flight.from, flight.to, flight.message);
+            self.with_actor(net, to, |actor, ctx| actor.on_message(ctx, from, message));
+        }
+
+        // Phase 3: timers due this tick, in (process, timer) order.
+        self.fire_due_timers(net);
+
+        // Phase 4: tick handlers for up processes, id order (skipped
+        // entirely when every actor is event-driven).
+        if !net.event_driven {
+            for i in 0..self.ids.len() {
+                let id = self.ids[i];
+                if self.is_up(id) {
+                    self.with_actor(net, id, |actor, ctx| actor.on_tick(ctx));
+                }
+            }
+        }
+    }
+
+    /// Runs this worker until its clock reaches `end`. `sync` returns the
+    /// status of the whole system before every clock decision: with one
+    /// worker that is [`Shard::status`]; with several, the threaded
+    /// executor first exchanges the tick's cross-worker mail at a
+    /// barrier, so every worker decides identically and the clocks
+    /// advance in lockstep.
+    ///
+    /// The fast-forward test: when every actor is event-driven, the crash
+    /// model draws no per-tick randomness and no forced outage is counting
+    /// down, the clock jumps straight to the tick before the next event.
+    /// The jump is unobservable — no handler runs and no randomness is
+    /// drawn on the skipped ticks — so runs are bit-identical to
+    /// tick-by-tick execution.
+    pub(crate) fn run_to(
+        &mut self,
+        net: &Net,
+        end: SimTime,
+        mut sync: impl FnMut(&mut Self) -> Status,
+    ) {
+        let mut status = sync(self);
+        while self.now < end {
+            if net.event_driven
+                && status.forced_outages == 0
+                && net.options.crash_model == CrashModel::AlwaysUp
+            {
+                match status.next_wake {
+                    // Jump to just before the next event, then step onto
+                    // it (the event may re-enable crashes via force_down,
+                    // so re-check each round).
+                    Some(at) if at <= end => {
+                        if at > self.now + 1 {
+                            self.now = SimTime::new(at.ticks() - 1);
+                        }
+                    }
+                    // Nothing due before the horizon.
+                    _ => {
+                        self.now = end;
+                        return;
+                    }
+                }
+            }
+            self.step(net);
+            status = sync(self);
+        }
+    }
+}
+
+/// The checkpoint loop behind both executors' `run_until_every`:
+/// `predicate` is evaluated only at multiples of `check_every` (and
+/// before the first step, when the current time is such a multiple), and
+/// `run_ticks` covers the stretches in between, fast-forwarding.
+pub(crate) fn run_until_every<S>(
+    sim: &mut S,
+    now: fn(&S) -> SimTime,
+    run_ticks: fn(&mut S, u64),
+    mut predicate: impl FnMut(&S) -> bool,
+    check_every: u64,
+    max_ticks: u64,
+) -> Option<SimTime> {
+    let check_every = check_every.max(1);
+    let end = now(sim) + max_ticks;
+    let mut hit =
+        |sim: &S| (now(sim).ticks() % check_every == 0 && predicate(sim)).then(|| now(sim));
+    if let Some(at) = hit(sim) {
+        return Some(at);
+    }
+    while now(sim) < end {
+        let t = now(sim).ticks();
+        let next_check = t - t % check_every + check_every;
+        run_ticks(sim, next_check.min(end.ticks()) - t);
+        if let Some(at) = hit(sim) {
+            return Some(at);
+        }
+    }
+    None
 }
 
 /// A deterministic discrete-event simulation of a distributed system.
@@ -267,6 +771,9 @@ struct BurstSlot {
 /// delivery, timer, or forced recovery is due are skipped wholesale,
 /// which costs nothing and changes nothing (no handler would have run
 /// and no randomness would have been drawn).
+///
+/// This is the engine with one worker, run inline on the caller's
+/// thread; [`crate::ShardedKernel`] is the same engine with `W ≥ 1`.
 ///
 /// # Example
 ///
@@ -304,55 +811,18 @@ struct BurstSlot {
 /// # }
 /// ```
 pub struct Simulation<A: Actor> {
-    topology: Topology,
-    loss: Configuration,
-    options: SimOptions,
-    nodes: BTreeMap<ProcessId, Node<A>>,
-    ids: Vec<ProcessId>,
-    in_flight: BinaryHeap<Reverse<Flight<A::Message>>>,
-    next_seq: u64,
-    now: SimTime,
-    rng: StdRng,
-    /// Batched per-(sender, destination) loss sampling (see
-    /// [`LossBatcher`] for the draw-order contract).
-    loss_runs: LossBatcher,
-    /// Scheduled message adversary on its own seeded stream (see
-    /// [`MessageAdversary`] for the draw-order contract). Inactive by
-    /// default, so adversary-free runs draw nothing from it.
-    adversary: MessageAdversary,
-    metrics: Metrics,
-    outbox: Vec<(ProcessId, A::Message)>,
-    timer_ops: Vec<(TimerId, Option<SimTime>)>,
-    /// Pending timer deadlines, one per `(process, timer)` pair …
-    timers: BTreeMap<(ProcessId, TimerId), SimTime>,
-    /// … mirrored as a deadline-ordered queue for due-scans and wakes.
-    timer_queue: BTreeSet<(SimTime, ProcessId, TimerId)>,
-    /// Scratch for the timer-firing phase.
-    due_scratch: Vec<(ProcessId, TimerId)>,
-    /// Reused buffers for [`Simulation::flush_outbox`].
-    flush_scratch: Vec<(ProcessId, A::Message)>,
-    burst_scratch: Vec<BurstSlot>,
-    /// `true` while every actor is event-driven (`wants_ticks == false`):
-    /// the per-tick `on_tick` phase is skipped and — with a
-    /// deterministic-by-jump crash model — eventless ticks can be
-    /// fast-forwarded.
-    event_driven: bool,
-    /// Ticks actually executed by [`Simulation::step`] (fast-forwarded
-    /// ticks are not counted).
-    busy_ticks: u64,
-    /// Processes currently in a forced outage (fast-forward would skip
-    /// their per-tick countdown, so it is disabled while any is active).
-    forced_outages: usize,
+    pub(crate) net: Net,
+    /// The workers, in id-range order; they advance in lockstep.
+    pub(crate) shards: Vec<Shard<A>>,
     started: bool,
 }
 
 impl<A: Actor> std::fmt::Debug for Simulation<A> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
-            .field("now", &self.now)
-            .field("processes", &self.ids.len())
-            .field("in_flight", &self.in_flight.len())
-            .field("metrics", &self.metrics)
+            .field("now", &self.now())
+            .field("workers", &self.shards.len())
+            .field("processes", &self.nodes().count())
             .finish_non_exhaustive()
     }
 }
@@ -366,46 +836,54 @@ impl<A: Actor> Simulation<A> {
     pub fn new(
         topology: Topology,
         loss: Configuration,
-        mut make_actor: impl FnMut(ProcessId) -> A,
+        make_actor: impl FnMut(ProcessId) -> A,
         options: SimOptions,
     ) -> Self {
+        Self::with_workers(topology, loss, make_actor, options, 1)
+    }
+
+    /// The engine over `workers` contiguous id ranges (clamped to
+    /// `1..=process count` and to at most 65 536). `make_actor` runs in
+    /// ascending id order, and worker `k` draws from
+    /// [`shard_seed`]`(seed, k)`, so one worker takes the run seed
+    /// verbatim.
+    pub(crate) fn with_workers(
+        topology: Topology,
+        loss: Configuration,
+        mut make_actor: impl FnMut(ProcessId) -> A,
+        options: SimOptions,
+        workers: usize,
+    ) -> Self {
         let ids: Vec<ProcessId> = topology.processes().collect();
-        let nodes: BTreeMap<ProcessId, Node<A>> = ids
-            .iter()
-            .map(|&id| {
-                (
-                    id,
-                    Node {
-                        actor: make_actor(id),
-                        crash: CrashState::new(),
-                    },
+        let workers = workers.clamp(1, ids.len().clamp(1, MAX_WORKERS));
+        let shards: Vec<Shard<A>> = partition(ids.len(), workers)
+            .enumerate()
+            .map(|(k, range)| {
+                Shard::new(
+                    k as u32,
+                    &ids[range],
+                    &mut make_actor,
+                    options.seed,
+                    workers,
                 )
             })
             .collect();
-        let event_driven = nodes.values().all(|n| !n.actor.wants_ticks());
-        Simulation {
+        let net = Net {
+            boundaries: shards
+                .iter()
+                .map(|s| s.ids.first().copied().unwrap_or(ProcessId::new(0)))
+                .collect(),
+            event_driven: shards
+                .iter()
+                .flat_map(|s| s.nodes.values())
+                .all(|n| !n.actor.wants_ticks()),
             topology,
             loss,
-            rng: StdRng::seed_from_u64(options.seed),
-            loss_runs: LossBatcher::new(),
-            adversary: MessageAdversary::inactive(options.seed),
             options,
-            nodes,
-            ids,
-            in_flight: BinaryHeap::new(),
-            next_seq: 0,
-            now: SimTime::ZERO,
-            metrics: Metrics::new(),
-            outbox: Vec::new(),
-            timer_ops: Vec::new(),
-            timers: BTreeMap::new(),
-            timer_queue: BTreeSet::new(),
-            due_scratch: Vec::new(),
-            flush_scratch: Vec::new(),
-            burst_scratch: Vec::new(),
-            event_driven,
-            forced_outages: 0,
-            busy_ticks: 0,
+        };
+        Simulation {
+            net,
+            shards,
             started: false,
         }
     }
@@ -414,63 +892,63 @@ impl<A: Actor> Simulation<A> {
     /// phases run) rather than fast-forwarded. On an event-driven run
     /// the gap to `now()` is the number of skipped idle ticks.
     pub fn busy_ticks(&self) -> u64 {
-        self.busy_ticks
+        self.shards[0].busy_ticks
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.shards[0].now
     }
 
     /// The simulated topology.
     pub fn topology(&self) -> &Topology {
-        &self.topology
+        &self.net.topology
     }
 
     /// Collected metrics.
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.shards[0].metrics
     }
 
     /// Resets collected metrics (e.g. after warm-up).
     pub fn reset_metrics(&mut self) {
-        self.metrics.reset();
+        for shard in &mut self.shards {
+            shard.metrics.reset();
+        }
     }
 
     /// Immutable access to a process's actor.
     pub fn node(&self, id: ProcessId) -> Option<&A> {
-        self.nodes.get(&id).map(|n| &n.actor)
+        let shard = &self.shards[self.net.worker_of(id)];
+        shard.nodes.get(&id).map(|n| &n.actor)
     }
 
     /// Iterates over `(id, actor)` pairs in id order.
     pub fn nodes(&self) -> impl Iterator<Item = (ProcessId, &A)> {
-        self.nodes.iter().map(|(id, n)| (*id, &n.actor))
+        self.shards
+            .iter()
+            .flat_map(|s| s.nodes.iter().map(|(id, n)| (*id, &n.actor)))
     }
 
     /// Returns `true` iff the process is currently up.
     ///
     /// Unknown processes are reported as down.
     pub fn is_up(&self, id: ProcessId) -> bool {
-        self.nodes.get(&id).is_some_and(|n| n.crash.up)
+        self.shards[self.net.worker_of(id)].is_up(id)
     }
 
     /// Forces `id` down for the next `ticks` ticks (failure injection).
     pub fn force_down(&mut self, id: ProcessId, ticks: u64) {
-        if ticks == 0 {
-            return;
-        }
-        if let Some(node) = self.nodes.get_mut(&id) {
-            if node.crash.forced_down_remaining == 0 {
-                self.forced_outages += 1;
-            }
-            node.crash.force_down(ticks);
+        if ticks > 0 {
+            let worker = self.net.worker_of(id);
+            self.shards[worker].force_down(id, ticks);
         }
     }
 
     /// Overrides the loss probability of one link (e.g. to heal or break
     /// a path mid-run).
     pub fn set_loss(&mut self, link: LinkId, p: Probability) {
-        self.loss.set_loss(link, p);
+        self.net.loss.set_loss(link, p);
     }
 
     /// (Re)configures the message adversary: from now on it destroys up
@@ -479,12 +957,14 @@ impl<A: Actor> Simulation<A> {
     /// so toggling it never perturbs loss sampling for surviving
     /// messages.
     pub fn set_message_adversary(&mut self, d: u32, window: u64) {
-        self.adversary.configure(d, window, self.now);
+        for shard in &mut self.shards {
+            shard.adversary.configure(d, window, shard.now);
+        }
     }
 
     /// Emissions destroyed by the message adversary so far.
     pub fn suppressed_by_adversary(&self) -> u64 {
-        self.adversary.suppressed()
+        self.shards.iter().map(|s| s.adversary.suppressed()).sum()
     }
 
     /// Runs a closure against one process's actor with a live context, as
@@ -496,307 +976,49 @@ impl<A: Actor> Simulation<A> {
         f: impl FnOnce(&mut A, &mut Context<'_, A::Message>),
     ) -> bool {
         self.ensure_started();
-        let now = self.now;
-        let Some(node) = self.nodes.get_mut(&id) else {
-            return false;
-        };
-        if !node.crash.up {
+        let worker = self.net.worker_of(id);
+        if !self.shards[worker].is_up(id) {
             return false;
         }
-        let mut outbox = std::mem::take(&mut self.outbox);
-        let mut timer_ops = std::mem::take(&mut self.timer_ops);
-        {
-            let mut ctx = Context {
-                now,
-                id,
-                outbox: &mut outbox,
-                timer_ops: &mut timer_ops,
-            };
-            f(&mut node.actor, &mut ctx);
-        }
-        self.outbox = outbox;
-        self.timer_ops = timer_ops;
-        self.apply_timer_ops(id);
-        self.flush_outbox(id);
+        self.invoke(worker, id, f);
         true
     }
 
-    fn ensure_started(&mut self) {
+    pub(crate) fn ensure_started(&mut self) {
         if self.started {
             return;
         }
         self.started = true;
-        let ids = self.ids.clone();
-        for id in ids {
-            self.with_actor(id, |actor, ctx| actor.on_start(ctx));
+        // Ascending id order: workers hold ascending ranges.
+        for worker in 0..self.shards.len() {
+            for i in 0..self.shards[worker].ids.len() {
+                let id = self.shards[worker].ids[i];
+                self.invoke(worker, id, |actor, ctx| actor.on_start(ctx));
+            }
         }
     }
 
-    /// Runs `f` for the actor at `id` with a context, then applies timer
-    /// operations and flushes sends.
-    fn with_actor(&mut self, id: ProcessId, f: impl FnOnce(&mut A, &mut Context<'_, A::Message>)) {
-        let now = self.now;
-        let Some(node) = self.nodes.get_mut(&id) else {
-            return;
-        };
-        let mut outbox = std::mem::take(&mut self.outbox);
-        let mut timer_ops = std::mem::take(&mut self.timer_ops);
-        {
-            let mut ctx = Context {
-                now,
-                id,
-                outbox: &mut outbox,
-                timer_ops: &mut timer_ops,
-            };
-            f(&mut node.actor, &mut ctx);
-        }
-        self.outbox = outbox;
-        self.timer_ops = timer_ops;
-        self.apply_timer_ops(id);
-        self.flush_outbox(id);
-    }
-
-    /// Applies buffered set/cancel timer operations for `id`.
-    fn apply_timer_ops(&mut self, id: ProcessId) {
-        if self.timer_ops.is_empty() {
-            return;
-        }
-        let mut ops = std::mem::take(&mut self.timer_ops);
-        for (timer, op) in ops.drain(..) {
-            let key = (id, timer);
-            if let Some(old) = self.timers.remove(&key) {
-                self.timer_queue.remove(&(old, id, timer));
-            }
-            if let Some(at) = op {
-                self.timers.insert(key, at);
-                self.timer_queue.insert((at, id, timer));
+    /// Runs a handler outside the tick loop (no worker is running), then
+    /// hands its cross-worker sends straight to their destinations.
+    fn invoke(
+        &mut self,
+        worker: usize,
+        id: ProcessId,
+        f: impl FnOnce(&mut A, &mut Context<'_, A::Message>),
+    ) {
+        self.shards[worker].with_actor(&self.net, id, f);
+        for dst in 0..self.shards.len() {
+            if dst != worker {
+                let mut batch = std::mem::take(&mut self.shards[worker].outbound[dst]);
+                self.shards[dst].accept(&mut batch);
             }
         }
-        self.timer_ops = ops;
-    }
-
-    /// Fires every pending timer with a deadline at or before `now` whose
-    /// process is up, ordered by `(process, timer)` — the same order the
-    /// legacy per-tick phase visited processes. Loops so that timers
-    /// armed by recoveries or deliveries for the current tick still fire
-    /// on it; timers of down processes stay pending until recovery.
-    fn fire_due_timers(&mut self) {
-        loop {
-            let mut due = std::mem::take(&mut self.due_scratch);
-            due.clear();
-            for &(at, id, timer) in self.timer_queue.iter() {
-                if at > self.now {
-                    break;
-                }
-                if self.nodes.get(&id).is_some_and(|n| n.crash.up) {
-                    due.push((id, timer));
-                }
-            }
-            if due.is_empty() {
-                self.due_scratch = due;
-                return;
-            }
-            due.sort_unstable();
-            for &(id, timer) in due.iter() {
-                // An earlier handler in this pass may have cancelled or
-                // re-armed this timer; fire only if it is still due.
-                let Some(&at) = self.timers.get(&(id, timer)) else {
-                    continue;
-                };
-                if at > self.now {
-                    continue;
-                }
-                self.timers.remove(&(id, timer));
-                self.timer_queue.remove(&(at, id, timer));
-                self.with_actor(id, |actor, ctx| actor.on_timer(ctx, timer));
-            }
-            self.due_scratch = due;
-        }
-    }
-
-    /// The earliest future time at which anything is scheduled to happen:
-    /// a message delivery or a timer deadline. `None` when the system is
-    /// fully quiescent.
-    fn next_wake(&self) -> Option<SimTime> {
-        let flight = self.in_flight.peek().map(|Reverse(f)| f.at);
-        let timer = self.timer_queue.first().map(|&(at, _, _)| at);
-        match (flight, timer) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// `true` when jumping over eventless ticks cannot change behavior:
-    /// every actor is event-driven, the crash model draws no per-tick
-    /// randomness, and no forced outage is counting down.
-    fn can_fast_forward(&self) -> bool {
-        self.event_driven
-            && self.forced_outages == 0
-            && self.options.crash_model == CrashModel::AlwaysUp
-    }
-
-    /// Loss-samples and schedules everything the last handler sent.
-    ///
-    /// In the paper's model a process sends *one* message per step, so
-    /// when a handler emits several messages to the same destination
-    /// (e.g. the `m⃗[j]` copies of Algorithm 1), they are staggered one
-    /// tick apart. This keeps per-copy failures independent — delivering
-    /// a whole burst in one tick would make one receiver-crash sample
-    /// destroy every copy at once.
-    ///
-    /// This is the Monte-Carlo inner loop: link validation and loss
-    /// probabilities are resolved once per distinct destination of the
-    /// burst (a small linear cache instead of per-message map walks), and
-    /// sent-message metrics are recorded in per-destination batches. Loss
-    /// decisions come from the batched geometric sampler ([`LossBatcher`])
-    /// rather than one `gen_bool` per message: the RNG is consulted only
-    /// when a lossy cell needs a fresh run length, in send order per the
-    /// sampler's documented total order, so seeded streams stay frozen
-    /// and the virtual-time fabric and one-worker sharded kernel replay
-    /// this loop bit-exactly.
-    fn flush_outbox(&mut self, from: ProcessId) {
-        // Drain into a persistent scratch buffer: scheduling needs
-        // `&mut self`, and reusing the buffer keeps the flush
-        // allocation-free in steady state.
-        let mut pending = std::mem::take(&mut self.flush_scratch);
-        std::mem::swap(&mut pending, &mut self.outbox);
-        // Slots from previous flushes are recycled in place (their
-        // per-kind Vecs keep their allocations); `live` marks how many
-        // belong to *this* flush.
-        let mut slots = std::mem::take(&mut self.burst_scratch);
-        let mut live = 0usize;
-        let mut invalid = 0u64;
-        for (to, message) in pending.drain(..) {
-            let slot_index = match slots[..live].iter().position(|s| s.to == to) {
-                Some(i) => i,
-                None => {
-                    let link = LinkId::new(from, to)
-                        .ok()
-                        .filter(|&l| self.topology.contains_link(l));
-                    let loss = link.map(|l| self.loss.loss(l).value()).unwrap_or(0.0);
-                    if live == slots.len() {
-                        slots.push(BurstSlot {
-                            to,
-                            link,
-                            loss,
-                            stagger: 0,
-                            sent: Vec::new(),
-                        });
-                    } else {
-                        let slot = &mut slots[live];
-                        slot.to = to;
-                        slot.link = link;
-                        slot.loss = loss;
-                        slot.stagger = 0;
-                        slot.sent.clear();
-                    }
-                    live += 1;
-                    live - 1
-                }
-            };
-            let slot = &mut slots[slot_index];
-            if slot.link.is_none() {
-                invalid += 1;
-                continue;
-            }
-            // Sent metrics count pre-loss copies, batched per kind.
-            let kind = message.kind();
-            match slot.sent.iter_mut().find(|(k, _)| *k == kind) {
-                Some((_, n)) => *n += 1,
-                None => slot.sent.push((kind, 1)),
-            }
-            // The message adversary acts before link loss and consumes
-            // no loss draws (it has its own stream), so surviving
-            // messages see the exact loss schedule of an adversary-free
-            // run.
-            if self.adversary.should_suppress(from, self.now) {
-                self.metrics.record_suppressed();
-                continue;
-            }
-            if slot.loss > 0.0
-                && self
-                    .loss_runs
-                    .should_drop(from, to, slot.loss, &mut self.rng)
-            {
-                self.metrics.record_lost();
-                continue;
-            }
-            let flight = Flight {
-                at: self.now + self.options.link_delay + slot.stagger,
-                seq: self.next_seq,
-                from,
-                to,
-                message,
-            };
-            slot.stagger += 1;
-            self.next_seq += 1;
-            self.in_flight.push(Reverse(flight));
-        }
-        if invalid > 0 {
-            self.metrics.record_invalid_batch(invalid);
-        }
-        for slot in slots[..live].iter() {
-            if let Some(link) = slot.link {
-                for &(kind, n) in &slot.sent {
-                    self.metrics.record_sent_batch(link, kind, n);
-                }
-            }
-        }
-        self.flush_scratch = pending;
-        self.burst_scratch = slots;
     }
 
     /// Advances the simulation by one tick.
     pub fn step(&mut self) {
         self.ensure_started();
-        self.now += 1;
-        self.busy_ticks += 1;
-
-        // Phase 1: crash/recovery transitions, id order.
-        let model = self.options.crash_model;
-        let mut recovered: Vec<(ProcessId, u64)> = Vec::new();
-        for (&id, node) in self.nodes.iter_mut() {
-            let was_forced = node.crash.forced_down_remaining > 0;
-            if let Some(downtime) = node.crash.advance(&model, &mut self.rng) {
-                recovered.push((id, downtime));
-            }
-            if was_forced && node.crash.forced_down_remaining == 0 {
-                self.forced_outages -= 1;
-            }
-        }
-        for (id, downtime) in recovered {
-            self.with_actor(id, |actor, ctx| actor.on_recover(ctx, downtime));
-        }
-
-        // Phase 2: deliveries due this tick, in send order.
-        while let Some(Reverse(flight)) = self.in_flight.peek() {
-            if flight.at > self.now {
-                break;
-            }
-            let Reverse(flight) = self.in_flight.pop().expect("peeked");
-            let up = self.nodes.get(&flight.to).is_some_and(|n| n.crash.up);
-            if !up {
-                self.metrics.record_dropped_receiver_down();
-                continue;
-            }
-            self.metrics.record_delivered(flight.message.kind());
-            let (from, to, message) = (flight.from, flight.to, flight.message);
-            self.with_actor(to, |actor, ctx| actor.on_message(ctx, from, message));
-        }
-
-        // Phase 3: timers due this tick, in (process, timer) order.
-        self.fire_due_timers();
-
-        // Phase 4: tick handlers for up processes, id order (skipped
-        // entirely when every actor is event-driven).
-        if !self.event_driven {
-            let ids = self.ids.clone();
-            for id in ids {
-                if self.is_up(id) {
-                    self.with_actor(id, |actor, ctx| actor.on_tick(ctx));
-                }
-            }
-        }
+        self.shards[0].step(&self.net);
     }
 
     /// Runs `n` ticks.
@@ -809,27 +1031,8 @@ impl<A: Actor> Simulation<A> {
     /// bit-identical to tick-by-tick execution.
     pub fn run_ticks(&mut self, n: u64) {
         self.ensure_started();
-        let end = self.now + n;
-        while self.now < end {
-            if self.can_fast_forward() {
-                match self.next_wake() {
-                    Some(at) if at <= end => {
-                        // Jump to just before the next event, then step
-                        // onto it (the event may re-enable crashes via
-                        // force_down, so re-check each round).
-                        if at > self.now + 1 {
-                            self.now = SimTime::new(at.ticks() - 1);
-                        }
-                    }
-                    _ => {
-                        // Nothing due before the horizon.
-                        self.now = end;
-                        return;
-                    }
-                }
-            }
-            self.step();
-        }
+        let end = self.now() + n;
+        self.shards[0].run_to(&self.net, end, |shard| shard.status());
     }
 
     /// Steps until `predicate` returns `true` (checked before the first
@@ -847,12 +1050,12 @@ impl<A: Actor> Simulation<A> {
     ) -> Option<SimTime> {
         self.ensure_started();
         if predicate(self) {
-            return Some(self.now);
+            return Some(self.now());
         }
         for _ in 0..max_ticks {
             self.step();
             if predicate(self) {
-                return Some(self.now);
+                return Some(self.now());
             }
         }
         None
@@ -870,25 +1073,19 @@ impl<A: Actor> Simulation<A> {
     /// visiting the idle ticks in between.
     pub fn run_until_every(
         &mut self,
-        mut predicate: impl FnMut(&Simulation<A>) -> bool,
+        predicate: impl FnMut(&Simulation<A>) -> bool,
         check_every: u64,
         max_ticks: u64,
     ) -> Option<SimTime> {
         self.ensure_started();
-        let check_every = check_every.max(1);
-        let end = self.now + max_ticks;
-        if self.now.ticks() % check_every == 0 && predicate(self) {
-            return Some(self.now);
-        }
-        while self.now < end {
-            let next_check = self.now.ticks() - self.now.ticks() % check_every + check_every;
-            let target = next_check.min(end.ticks());
-            self.run_ticks(target - self.now.ticks());
-            if self.now.ticks() % check_every == 0 && predicate(self) {
-                return Some(self.now);
-            }
-        }
-        None
+        run_until_every(
+            self,
+            Self::now,
+            Self::run_ticks,
+            predicate,
+            check_every,
+            max_ticks,
+        )
     }
 }
 

@@ -8,6 +8,11 @@
 //! * [`Simulation`] — the event loop: integer-tick time ([`SimTime`]),
 //!   per-link Bernoulli message loss, configurable link delay, and a
 //!   single seeded RNG so identical seeds replay identical executions;
+//! * [`ShardedKernel`] — the same engine over `W ≥ 1` id-range workers,
+//!   one thread each when `W > 1`. The tick is written once, in the
+//!   engine; one worker runs it inline and *is* [`Simulation`]. The
+//!   virtual-time fabric in `diffuse-net` writes the tick independently
+//!   and is the oracle for its phase and draw order;
 //! * [`Actor`] — the protocol interface (message/tick/recovery handlers);
 //! * [`CrashModel`] — process crash/recovery processes realizing the
 //!   paper's stationary down-fraction `P_i` (i.i.d. per tick, or a

@@ -1,40 +1,45 @@
-//! The sharded simulation executor: the kernel's tick, run in parallel.
+//! The sharded executor: the engine's workers, one thread each.
 //!
 //! [`ShardedKernel`] partitions the process set into `W` contiguous
-//! id-range shards, one worker thread per shard. Within a tick every
-//! shard runs the kernel's phases — crash transitions, deliveries,
-//! timers, tick handlers — *locally*, over its own nodes, its own
-//! in-flight heap and its own RNG stream; cross-shard sends are batched
-//! and exchanged at a tick barrier. Since the link delay is at least one
-//! tick, a message sent during tick `t` is never due before `t + 1`, so
-//! the end-of-tick exchange always lands in time.
+//! id-range workers and runs the engine's tick (`crate::kernel`, the one
+//! copy of the phases, the outbox flush and the timer handling) on each.
+//! Within a tick every worker runs the phases — crash transitions,
+//! deliveries, timers, tick handlers — *locally*, over its own nodes,
+//! its own in-flight heap and its own RNG stream; cross-worker sends are
+//! batched and exchanged at a tick barrier. Since the link delay is at
+//! least one tick, a message sent during tick `t` is never due before
+//! `t + 1`, so the end-of-tick exchange always lands in time.
+//!
+//! One engine serves every `W ≥ 1`: with one worker the loop runs inline
+//! on the caller's thread, with no spawn and no barrier, and is the
+//! [`crate::Simulation`] tick itself. The virtual-time fabric in
+//! `diffuse-net` writes the tick independently and is the oracle for its
+//! phase and draw order.
 //!
 //! # Determinism contract
 //!
-//! The single-threaded [`crate::Simulation`] remains the executable
-//! spec. The sharded executor is **self-reproducible by construction**:
+//! The executor is **self-reproducible by construction**:
 //!
-//! * Every shard draws from a private RNG seeded by
-//!   [`crate::shard_seed`]`(run_seed, shard)` — a pure function of the
-//!   run seed and the stable shard id, never of thread scheduling.
-//! * Cross-shard messages carry `(arrival, source shard, source seq)`
+//! * Every worker draws from a private RNG seeded by
+//!   [`crate::shard_seed`]`(run_seed, worker)` — a pure function of the
+//!   run seed and the stable worker id, never of thread scheduling.
+//! * Cross-worker messages carry `(arrival, source worker, source seq)`
 //!   and the delivery heap orders by exactly that key, so the merge
 //!   order is independent of which worker published first.
 //! * The fast-forward decision is taken by *global consensus*: each
-//!   shard publishes its next wake and forced-outage count at the
-//!   barrier, and every shard computes the identical jump from the
-//!   combined status. The per-shard clocks advance in lockstep.
+//!   worker publishes its next wake and forced-outage count at the
+//!   barrier, and every worker computes the identical jump from the
+//!   combined status. The per-worker clocks advance in lockstep.
 //!
 //! Hence a given `(seed, topology, W)` replays byte-identically on every
-//! re-run. With `W = 1` the single shard receives the run seed verbatim
-//! and the executor degenerates to the kernel's exact stream and phase
-//! order — draw-for-draw, metric-for-metric. For `W > 1` the loss draws
-//! are distributed over per-shard streams, so individual runs differ
-//! from the kernel's stream while remaining statistically equivalent —
+//! re-run. With `W = 1` the single worker receives the run seed verbatim
+//! and runs [`crate::Simulation`]'s stream. For `W > 1` the loss draws
+//! are distributed over per-worker streams, so individual runs differ
+//! from the one-worker stream while remaining statistically equivalent —
 //! and on loss-free, crash-free scenarios (which draw no randomness at
-//! all) the delivered message *sets* and wire metrics equal the
-//! kernel's exactly; only the within-tick arrival order of same-tick
-//! messages from different shards may permute.
+//! all) the delivered message *sets* and wire metrics are equal at every
+//! worker count; only the within-tick arrival order of same-tick
+//! messages from different workers may permute.
 //!
 //! # Synchronization shape
 //!
@@ -43,621 +48,141 @@
 //! its single producer and once by its single consumer, on opposite
 //! sides of a barrier — the per-message hot path touches no lock. This
 //! module is classified `relaxed-determinism` in `diffuse-lint`'s policy
-//! table: threading and per-shard streams are allowed, wall-clock reads
-//! and unordered iteration remain banned.
+//! table: threading and per-worker streams are allowed, wall-clock reads
+//! and unordered iteration remain banned. Thread code belongs here only;
+//! `crate::kernel` stays strictly deterministic.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::ops::Range;
 use std::sync::{Barrier, Mutex};
 
 use diffuse_model::{Configuration, LinkId, Probability, ProcessId, Topology};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use crate::adversary::MessageAdversary;
-use crate::crash::CrashState;
-use crate::kernel::{Actor, Context, SimMessage, SimOptions};
-use crate::loss::LossBatcher;
-use crate::shard_rng::shard_seed;
-use crate::{CrashModel, Metrics, SimTime, TimerId};
+use crate::kernel::{run_until_every, Flight, Shard, Status};
+use crate::{Actor, Context, Metrics, SimOptions, SimTime, Simulation};
 
-/// A message crossing (or queued within) a shard, ordered by
-/// `(arrival, source shard, source sequence)` — a deterministic merge
-/// key that no thread interleaving can perturb. With one shard the key
-/// reduces to the kernel's `(arrival, sequence)` order.
-#[derive(Debug)]
-struct Envelope<M> {
-    at: SimTime,
-    src_shard: u32,
-    seq: u64,
-    from: ProcessId,
-    to: ProcessId,
-    message: M,
+/// The id-range partition: `workers` contiguous index ranges covering
+/// `0..n`, the first `n % workers` of them one longer.
+pub(crate) fn partition(n: usize, workers: usize) -> impl Iterator<Item = Range<usize>> {
+    let (base, extra) = (n / workers, n % workers);
+    (0..workers).scan(0, move |start, k| {
+        let range = *start..*start + base + usize::from(k < extra);
+        *start = range.end;
+        Some(range)
+    })
 }
 
-impl<M> PartialEq for Envelope<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.src_shard == other.src_shard && self.seq == other.seq
-    }
-}
-
-impl<M> Eq for Envelope<M> {}
-
-impl<M> PartialOrd for Envelope<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<M> Ord for Envelope<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.src_shard, self.seq).cmp(&(other.at, other.src_shard, other.seq))
-    }
-}
-
-struct ShardNode<A> {
-    actor: A,
-    crash: CrashState,
-}
-
-/// Per-destination cache for one outbox flush (the kernel's `BurstSlot`,
-/// replicated so the per-shard flush is draw-for-draw identical).
-struct BurstSlot {
-    to: ProcessId,
-    link: Option<LinkId>,
-    loss: f64,
-    stagger: u64,
-    sent: Vec<(&'static str, u64)>,
-}
-
-/// Immutable per-run environment shared by every worker: the topology,
-/// the loss table snapshot, and the shard partition.
-struct ShardEnv<'a> {
-    topology: &'a Topology,
-    loss: &'a Configuration,
-    /// First process id of each shard, ascending; destination shards
-    /// resolve by binary search.
-    boundaries: &'a [ProcessId],
-    link_delay: u64,
-}
-
-impl ShardEnv<'_> {
-    /// The shard owning process `id` (which must be at or above the
-    /// first boundary — callers only route validated link destinations).
-    fn shard_of(&self, id: ProcessId) -> usize {
-        self.boundaries.partition_point(|&b| b <= id) - 1
-    }
-}
-
-/// One shard's view of the next tick, published at the barrier so every
-/// worker takes the identical fast-forward decision.
-#[derive(Debug, Clone, Copy, Default)]
-struct ShardStatus {
-    next_wake: Option<SimTime>,
-    forced_outages: usize,
-}
-
-/// Cross-shard coordination state for one `run_ticks` segment.
-struct Shared<M> {
+/// The tick barrier of one `run_ticks` call on `W > 1` workers.
+struct Exchange<M> {
+    workers: usize,
     /// `W × W` single-producer/single-consumer mailbox slots, indexed
     /// `dst * W + src`. Producer and consumer sides are separated by a
     /// barrier, so each lock is uncontended by construction.
-    mailboxes: Vec<Mutex<Vec<Envelope<M>>>>,
+    mailboxes: Vec<Mutex<Vec<Flight<M>>>>,
     barrier: Barrier,
-    status: Mutex<Vec<ShardStatus>>,
+    status: Mutex<Vec<Status>>,
 }
 
-/// Reads the combined status: the global minimum wake time and the total
-/// forced-outage count. Every shard computes the same values from the
-/// same snapshot.
-fn read_global<M>(shared: &Shared<M>) -> (Option<SimTime>, usize) {
-    let status = shared.status.lock().expect("a sibling shard panicked");
-    let mut wake: Option<SimTime> = None;
-    let mut forced = 0usize;
-    for s in status.iter() {
-        forced += s.forced_outages;
-        wake = match (wake, s.next_wake) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-    }
-    (wake, forced)
+fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex.lock().expect("a sibling worker panicked")
 }
 
-/// One worker's slice of the system: a contiguous id range of nodes plus
-/// everything the kernel keeps globally — heap, timers, RNG, metrics.
-struct Shard<A: Actor> {
-    index: u32,
-    nodes: BTreeMap<ProcessId, ShardNode<A>>,
-    ids: Vec<ProcessId>,
-    rng: StdRng,
-    /// Batched loss sampling over this shard's stream. Cells are keyed by
-    /// `(from, to)` with `from` owned by this shard, so the cell tables of
-    /// different shards are disjoint and one worker replays the kernel's
-    /// table exactly.
-    loss_runs: LossBatcher,
-    /// Per-shard message adversary over this shard's suppression stream
-    /// (seeded from the shard seed, so one worker replays the kernel's
-    /// suppression stream draw for draw). Senders are shard-owned, so
-    /// per-sender budgets never straddle shards.
-    adversary: MessageAdversary,
-    now: SimTime,
-    busy_ticks: u64,
-    next_seq: u64,
-    in_flight: BinaryHeap<Reverse<Envelope<A::Message>>>,
-    timers: BTreeMap<(ProcessId, TimerId), SimTime>,
-    timer_queue: BTreeSet<(SimTime, ProcessId, TimerId)>,
-    due_scratch: Vec<(ProcessId, TimerId)>,
-    outbox: Vec<(ProcessId, A::Message)>,
-    timer_ops: Vec<(TimerId, Option<SimTime>)>,
-    flush_scratch: Vec<(ProcessId, A::Message)>,
-    burst_scratch: Vec<BurstSlot>,
-    /// Per-destination-shard batches accumulated during the current
-    /// tick, published once at the barrier. The own-index slot is
-    /// unused (local sends go straight to `in_flight`).
-    outbound: Vec<Vec<Envelope<A::Message>>>,
-    metrics: Metrics,
-    forced_outages: usize,
-}
-
-impl<A: Actor> Shard<A> {
-    /// Runs `f` for the actor at `id`, then applies its timer operations
-    /// and flushes its sends — the kernel's `with_actor`, per shard.
-    fn with_actor(
-        &mut self,
-        env: &ShardEnv<'_>,
-        id: ProcessId,
-        f: impl FnOnce(&mut A, &mut Context<'_, A::Message>),
-    ) {
-        let now = self.now;
-        let Some(node) = self.nodes.get_mut(&id) else {
-            return;
-        };
-        let mut outbox = std::mem::take(&mut self.outbox);
-        let mut timer_ops = std::mem::take(&mut self.timer_ops);
-        {
-            let mut ctx = Context::internal_new(now, id, &mut outbox, &mut timer_ops);
-            f(&mut node.actor, &mut ctx);
-        }
-        self.outbox = outbox;
-        self.timer_ops = timer_ops;
-        self.apply_timer_ops(id);
-        self.flush_outbox(env, id);
-    }
-
-    fn apply_timer_ops(&mut self, id: ProcessId) {
-        if self.timer_ops.is_empty() {
-            return;
-        }
-        let mut ops = std::mem::take(&mut self.timer_ops);
-        for (timer, op) in ops.drain(..) {
-            let key = (id, timer);
-            if let Some(old) = self.timers.remove(&key) {
-                self.timer_queue.remove(&(old, id, timer));
-            }
-            if let Some(at) = op {
-                self.timers.insert(key, at);
-                self.timer_queue.insert((at, id, timer));
-            }
-        }
-        self.timer_ops = ops;
-    }
-
-    /// The kernel's `flush_outbox`, with one difference: scheduled
-    /// messages route either into the local heap or into the
-    /// per-destination-shard outbound batch. Loss decisions come from
-    /// this shard's batched sampler over this shard's stream, in local
-    /// send order — same guard, same [`LossBatcher`] draw order, same
-    /// stagger and sequence discipline as the spec kernel.
-    fn flush_outbox(&mut self, env: &ShardEnv<'_>, from: ProcessId) {
-        let mut pending = std::mem::take(&mut self.flush_scratch);
-        std::mem::swap(&mut pending, &mut self.outbox);
-        let mut slots = std::mem::take(&mut self.burst_scratch);
-        let mut live = 0usize;
-        let mut invalid = 0u64;
-        for (to, message) in pending.drain(..) {
-            let slot_index = match slots[..live].iter().position(|s| s.to == to) {
-                Some(i) => i,
-                None => {
-                    let link = LinkId::new(from, to)
-                        .ok()
-                        .filter(|&l| env.topology.contains_link(l));
-                    let loss = link.map(|l| env.loss.loss(l).value()).unwrap_or(0.0);
-                    if live == slots.len() {
-                        slots.push(BurstSlot {
-                            to,
-                            link,
-                            loss,
-                            stagger: 0,
-                            sent: Vec::new(),
-                        });
-                    } else {
-                        let slot = &mut slots[live];
-                        slot.to = to;
-                        slot.link = link;
-                        slot.loss = loss;
-                        slot.stagger = 0;
-                        slot.sent.clear();
-                    }
-                    live += 1;
-                    live - 1
-                }
-            };
-            let slot = &mut slots[slot_index];
-            if slot.link.is_none() {
-                invalid += 1;
-                continue;
-            }
-            let kind = message.kind();
-            match slot.sent.iter_mut().find(|(k, _)| *k == kind) {
-                Some((_, n)) => *n += 1,
-                None => slot.sent.push((kind, 1)),
-            }
-            // Adversary before loss, no loss draws consumed — exactly
-            // the kernel's flush (see `Simulation::flush_outbox`).
-            if self.adversary.should_suppress(from, self.now) {
-                self.metrics.record_suppressed();
-                continue;
-            }
-            if slot.loss > 0.0
-                && self
-                    .loss_runs
-                    .should_drop(from, to, slot.loss, &mut self.rng)
-            {
-                self.metrics.record_lost();
-                continue;
-            }
-            let envelope = Envelope {
-                at: self.now + env.link_delay + slot.stagger,
-                src_shard: self.index,
-                seq: self.next_seq,
-                from,
-                to,
-                message,
-            };
-            slot.stagger += 1;
-            self.next_seq += 1;
-            let dst = env.shard_of(to);
-            if dst == self.index as usize {
-                self.in_flight.push(Reverse(envelope));
-            } else {
-                self.outbound[dst].push(envelope);
-            }
-        }
-        if invalid > 0 {
-            self.metrics.record_invalid_batch(invalid);
-        }
-        for slot in slots[..live].iter() {
-            if let Some(link) = slot.link {
-                for &(kind, n) in &slot.sent {
-                    self.metrics.record_sent_batch(link, kind, n);
-                }
-            }
-        }
-        self.flush_scratch = pending;
-        self.burst_scratch = slots;
-    }
-
-    /// The kernel's `fire_due_timers`, restricted to this shard's nodes.
-    fn fire_due_timers(&mut self, env: &ShardEnv<'_>) {
-        loop {
-            let mut due = std::mem::take(&mut self.due_scratch);
-            due.clear();
-            for &(at, id, timer) in self.timer_queue.iter() {
-                if at > self.now {
-                    break;
-                }
-                if self.nodes.get(&id).is_some_and(|n| n.crash.up) {
-                    due.push((id, timer));
-                }
-            }
-            if due.is_empty() {
-                self.due_scratch = due;
-                return;
-            }
-            due.sort_unstable();
-            for &(id, timer) in due.iter() {
-                let Some(&at) = self.timers.get(&(id, timer)) else {
-                    continue;
-                };
-                if at > self.now {
-                    continue;
-                }
-                self.timers.remove(&(id, timer));
-                self.timer_queue.remove(&(at, id, timer));
-                self.with_actor(env, id, |actor, ctx| actor.on_timer(ctx, timer));
-            }
-            self.due_scratch = due;
+impl<M> Exchange<M> {
+    fn new(workers: usize) -> Self {
+        Exchange {
+            workers,
+            mailboxes: (0..workers * workers)
+                .map(|_| Mutex::new(Vec::new()))
+                .collect(),
+            barrier: Barrier::new(workers),
+            status: Mutex::new(vec![Status::default(); workers]),
         }
     }
 
-    /// The earliest future event local to this shard.
-    fn next_wake(&self) -> Option<SimTime> {
-        let flight = self.in_flight.peek().map(|Reverse(e)| e.at);
-        let timer = self.timer_queue.first().map(|&(at, _, _)| at);
-        match (flight, timer) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// One tick over this shard's nodes: the kernel's phases 1–4,
-    /// verbatim, restricted to local state.
-    fn step_local(&mut self, env: &ShardEnv<'_>, model: &CrashModel, event_driven: bool) {
-        self.now += 1;
-        self.busy_ticks += 1;
-
-        // Phase 1: crash/recovery transitions, id order.
-        let mut recovered: Vec<(ProcessId, u64)> = Vec::new();
-        for (&id, node) in self.nodes.iter_mut() {
-            let was_forced = node.crash.forced_down_remaining > 0;
-            if let Some(downtime) = node.crash.advance(model, &mut self.rng) {
-                recovered.push((id, downtime));
-            }
-            if was_forced && node.crash.forced_down_remaining == 0 {
-                self.forced_outages -= 1;
+    /// One tick barrier, seen from `shard`: post its outbound batches,
+    /// take what siblings addressed to it, publish its status, and return
+    /// the combined status — the same snapshot on every worker.
+    fn sync<A: Actor<Message = M>>(&self, shard: &mut Shard<A>) -> Status {
+        let (me, w) = (shard.index as usize, self.workers);
+        for (dst, batch) in shard.outbound.iter_mut().enumerate() {
+            if !batch.is_empty() {
+                lock(&self.mailboxes[dst * w + me]).append(batch);
             }
         }
-        for (id, downtime) in recovered {
-            self.with_actor(env, id, |actor, ctx| actor.on_recover(ctx, downtime));
+        self.barrier.wait();
+        for src in (0..w).filter(|&src| src != me) {
+            shard.accept(&mut lock(&self.mailboxes[me * w + src]));
         }
-
-        // Phase 2: deliveries due this tick, in merge-key order.
-        while let Some(Reverse(envelope)) = self.in_flight.peek() {
-            if envelope.at > self.now {
-                break;
-            }
-            let Reverse(envelope) = self.in_flight.pop().expect("peeked");
-            let up = self.nodes.get(&envelope.to).is_some_and(|n| n.crash.up);
-            if !up {
-                self.metrics.record_dropped_receiver_down();
-                continue;
-            }
-            self.metrics.record_delivered(envelope.message.kind());
-            let Envelope {
-                from, to, message, ..
-            } = envelope;
-            self.with_actor(env, to, |actor, ctx| actor.on_message(ctx, from, message));
-        }
-
-        // Phase 3: timers due this tick, in (process, timer) order.
-        self.fire_due_timers(env);
-
-        // Phase 4: tick handlers for up processes, id order.
-        if !event_driven {
-            let ids = self.ids.clone();
-            for id in ids {
-                if self.nodes.get(&id).is_some_and(|n| n.crash.up) {
-                    self.with_actor(env, id, |actor, ctx| actor.on_tick(ctx));
-                }
-            }
-        }
-    }
-
-    /// Hands the tick's outbound batches to their destination mailboxes
-    /// (one lock per non-empty destination; the consumer side drains
-    /// after the barrier).
-    fn publish_batches(&mut self, shared: &Shared<A::Message>, workers: usize) {
-        for dst in 0..workers {
-            if dst == self.index as usize || self.outbound[dst].is_empty() {
-                continue;
-            }
-            let mut slot = shared.mailboxes[dst * workers + self.index as usize]
-                .lock()
-                .expect("a sibling shard panicked");
-            slot.append(&mut self.outbound[dst]);
-        }
-    }
-
-    /// Merges everything sibling shards addressed to this shard into the
-    /// local heap. The heap's `(arrival, source shard, sequence)` order
-    /// makes the drain order irrelevant; draining in ascending source
-    /// order anyway keeps the pass fully deterministic.
-    fn drain_inbox(&mut self, shared: &Shared<A::Message>, workers: usize) {
-        for src in 0..workers {
-            if src == self.index as usize {
-                continue;
-            }
-            let mut slot = shared.mailboxes[self.index as usize * workers + src]
-                .lock()
-                .expect("a sibling shard panicked");
-            for envelope in slot.drain(..) {
-                self.in_flight.push(Reverse(envelope));
-            }
-        }
-    }
-
-    fn publish_status(&self, shared: &Shared<A::Message>) {
-        let mut status = shared.status.lock().expect("a sibling shard panicked");
-        status[self.index as usize] = ShardStatus {
-            next_wake: self.next_wake(),
-            forced_outages: self.forced_outages,
-        };
-    }
-
-    /// The worker body for one `run_ticks` segment. Mirrors the kernel's
-    /// `run_ticks` loop, with the fast-forward decision computed from
-    /// the globally published statuses so every shard's clock jumps (or
-    /// steps) identically.
-    fn run_segment(
-        &mut self,
-        env: &ShardEnv<'_>,
-        shared: &Shared<A::Message>,
-        end: SimTime,
-        model: CrashModel,
-        event_driven: bool,
-        workers: usize,
-    ) {
-        // Prime the status board so the first decision sees every shard.
-        self.publish_status(shared);
-        shared.barrier.wait();
-        loop {
-            if self.now >= end {
-                break;
-            }
-            let (wake, forced) = read_global(shared);
-            let can_fast_forward = event_driven && forced == 0 && model == CrashModel::AlwaysUp;
-            if can_fast_forward {
-                match wake {
-                    Some(at) if at <= end => {
-                        if at > self.now + 1 {
-                            self.now = SimTime::new(at.ticks() - 1);
-                        }
-                    }
-                    _ => {
-                        // Nothing due anywhere before the horizon; every
-                        // shard takes this branch on the same iteration.
-                        self.now = end;
-                        break;
-                    }
-                }
-            }
-            self.step_local(env, &model, event_driven);
-            self.publish_batches(shared, workers);
-            shared.barrier.wait();
-            self.drain_inbox(shared, workers);
-            self.publish_status(shared);
-            shared.barrier.wait();
-        }
+        lock(&self.status)[me] = shard.status();
+        self.barrier.wait();
+        let status = lock(&self.status);
+        status.iter().fold(Status::default(), |a, &b| a.merge(b))
     }
 }
 
-/// A parallel executor for [`Actor`] systems: the kernel's semantics,
-/// sharded across worker threads.
-///
-/// See the module-level docs for the determinism contract. The
-/// single-threaded [`crate::Simulation`] remains the executable spec;
-/// use the sharded executor for large-`n` sweeps where wall-clock
-/// matters and per-run self-reproducibility (rather than kernel
-/// bit-compatibility) suffices — or with `workers == 1`, where the two
-/// are draw-for-draw identical.
+/// A parallel executor for [`Actor`] systems: the simulation engine with
+/// `W` id-range workers, one thread each (see the module docs for the
+/// determinism contract). With `workers == 1` it runs inline and is
+/// draw-for-draw [`crate::Simulation`].
 pub struct ShardedKernel<A: Actor> {
-    topology: Topology,
-    loss: Configuration,
-    options: SimOptions,
-    /// First process id of each shard, ascending.
-    boundaries: Vec<ProcessId>,
-    shards: Vec<Shard<A>>,
-    now: SimTime,
-    event_driven: bool,
-    started: bool,
+    sim: Simulation<A>,
 }
 
 impl<A: Actor> std::fmt::Debug for ShardedKernel<A> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedKernel")
-            .field("now", &self.now)
-            .field("workers", &self.shards.len())
-            .field(
-                "processes",
-                &self.shards.iter().map(|s| s.ids.len()).sum::<usize>(),
-            )
+            .field("now", &self.now())
+            .field("workers", &self.workers())
+            .field("processes", &self.nodes().count())
             .finish_non_exhaustive()
     }
 }
 
 impl<A: Actor> ShardedKernel<A> {
     /// Creates a sharded simulation over `topology` with `workers`
-    /// shards (clamped to `1..=process count`). Mirrors
-    /// [`crate::Simulation::new`] otherwise: `loss` supplies per-link
-    /// loss probabilities, `make_actor` builds each process's protocol
-    /// instance (called in ascending id order), and crashes come from
-    /// [`SimOptions::crash_model`].
+    /// shards (clamped to `1..=process count` and to at most 65 536).
+    /// Mirrors [`crate::Simulation::new`] otherwise: `loss` supplies
+    /// per-link loss probabilities, `make_actor` builds each process's
+    /// protocol instance (called in ascending id order), and crashes
+    /// come from [`SimOptions::crash_model`].
     pub fn new(
         topology: Topology,
         loss: Configuration,
-        mut make_actor: impl FnMut(ProcessId) -> A,
+        make_actor: impl FnMut(ProcessId) -> A,
         options: SimOptions,
         workers: usize,
     ) -> Self {
-        let ids: Vec<ProcessId> = topology.processes().collect();
-        let workers = workers.clamp(1, ids.len().max(1));
-        let base = ids.len() / workers;
-        let extra = ids.len() % workers;
-        let mut shards = Vec::with_capacity(workers);
-        let mut boundaries = Vec::with_capacity(workers);
-        let mut event_driven = true;
-        let mut cursor = 0usize;
-        for index in 0..workers {
-            let len = base + usize::from(index < extra);
-            let chunk = &ids[cursor..cursor + len];
-            cursor += len;
-            boundaries.push(chunk.first().copied().unwrap_or(ProcessId::new(0)));
-            let nodes: BTreeMap<ProcessId, ShardNode<A>> = chunk
-                .iter()
-                .map(|&id| {
-                    let actor = make_actor(id);
-                    event_driven &= !actor.wants_ticks();
-                    (
-                        id,
-                        ShardNode {
-                            actor,
-                            crash: CrashState::new(),
-                        },
-                    )
-                })
-                .collect();
-            shards.push(Shard {
-                index: index as u32,
-                nodes,
-                ids: chunk.to_vec(),
-                rng: StdRng::seed_from_u64(shard_seed(options.seed, index as u32)),
-                loss_runs: LossBatcher::new(),
-                adversary: MessageAdversary::inactive(shard_seed(options.seed, index as u32)),
-                now: SimTime::ZERO,
-                busy_ticks: 0,
-                next_seq: 0,
-                in_flight: BinaryHeap::new(),
-                timers: BTreeMap::new(),
-                timer_queue: BTreeSet::new(),
-                due_scratch: Vec::new(),
-                outbox: Vec::new(),
-                timer_ops: Vec::new(),
-                flush_scratch: Vec::new(),
-                burst_scratch: Vec::new(),
-                outbound: (0..workers).map(|_| Vec::new()).collect(),
-                metrics: Metrics::new(),
-                forced_outages: 0,
-            });
-        }
         ShardedKernel {
-            topology,
-            loss,
-            options,
-            boundaries,
-            shards,
-            now: SimTime::ZERO,
-            event_driven,
-            started: false,
+            sim: Simulation::with_workers(topology, loss, make_actor, options, workers),
         }
     }
 
     /// Number of worker shards (after clamping).
     pub fn workers(&self) -> usize {
-        self.shards.len()
+        self.sim.shards.len()
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.sim.now()
     }
 
     /// The simulated topology.
     pub fn topology(&self) -> &Topology {
-        &self.topology
+        self.sim.topology()
     }
 
     /// Ticks actually executed (fast-forwarded ticks are not counted).
     /// Shard clocks advance in lockstep, so every shard reports the same
     /// number.
     pub fn busy_ticks(&self) -> u64 {
-        self.shards.iter().map(|s| s.busy_ticks).max().unwrap_or(0)
+        self.sim.busy_ticks()
     }
 
     /// Wire metrics aggregated over all shards (merged in shard order).
     pub fn metrics(&self) -> Metrics {
-        let mut total = Metrics::new();
-        for shard in &self.shards {
+        let (first, rest) = self.sim.shards.split_first().expect("one worker at least");
+        let mut total = first.metrics.clone();
+        for shard in rest {
             total.merge(&shard.metrics);
         }
         total
@@ -665,55 +190,35 @@ impl<A: Actor> ShardedKernel<A> {
 
     /// Resets every shard's collected metrics (e.g. after warm-up).
     pub fn reset_metrics(&mut self) {
-        for shard in &mut self.shards {
-            shard.metrics.reset();
-        }
+        self.sim.reset_metrics();
     }
 
     /// Immutable access to a process's actor.
     pub fn node(&self, id: ProcessId) -> Option<&A> {
-        let s = self.shard_index_of(id)?;
-        self.shards[s].nodes.get(&id).map(|n| &n.actor)
+        self.sim.node(id)
     }
 
-    /// Iterates over `(id, actor)` pairs in ascending id order (shards
-    /// hold contiguous ascending ranges, so chaining them preserves the
-    /// global order).
+    /// Iterates over `(id, actor)` pairs in ascending id order.
     pub fn nodes(&self) -> impl Iterator<Item = (ProcessId, &A)> {
-        self.shards
-            .iter()
-            .flat_map(|s| s.nodes.iter().map(|(id, n)| (*id, &n.actor)))
+        self.sim.nodes()
     }
 
     /// Returns `true` iff the process is currently up. Unknown processes
     /// are reported as down.
     pub fn is_up(&self, id: ProcessId) -> bool {
-        self.shard_index_of(id)
-            .and_then(|s| self.shards[s].nodes.get(&id))
-            .is_some_and(|n| n.crash.up)
+        self.sim.is_up(id)
     }
 
     /// Forces `id` down for the next `ticks` ticks (failure injection).
     /// Applied between run segments — i.e. at a tick barrier.
     pub fn force_down(&mut self, id: ProcessId, ticks: u64) {
-        if ticks == 0 {
-            return;
-        }
-        let Some(s) = self.shard_index_of(id) else {
-            return;
-        };
-        let shard = &mut self.shards[s];
-        let node = shard.nodes.get_mut(&id).expect("membership checked");
-        if node.crash.forced_down_remaining == 0 {
-            shard.forced_outages += 1;
-        }
-        node.crash.force_down(ticks);
+        self.sim.force_down(id, ticks);
     }
 
     /// Overrides one link's loss probability. Applied between run
     /// segments, so every shard observes the change at the same tick.
     pub fn set_loss(&mut self, link: LinkId, p: Probability) {
-        self.loss.set_loss(link, p);
+        self.sim.set_loss(link, p);
     }
 
     /// (Re)configures every shard's message adversary (see
@@ -721,14 +226,12 @@ impl<A: Actor> ShardedKernel<A> {
     /// run segments; shard clocks are in lockstep, so every shard's
     /// window 0 starts at the same tick.
     pub fn set_message_adversary(&mut self, d: u32, window: u64) {
-        for shard in &mut self.shards {
-            shard.adversary.configure(d, window, shard.now);
-        }
+        self.sim.set_message_adversary(d, window);
     }
 
     /// Emissions destroyed by the message adversary, summed over shards.
     pub fn suppressed_by_adversary(&self) -> u64 {
-        self.shards.iter().map(|s| s.adversary.suppressed()).sum()
+        self.sim.suppressed_by_adversary()
     }
 
     /// Runs a closure against one process's actor with a live context,
@@ -741,66 +244,7 @@ impl<A: Actor> ShardedKernel<A> {
         id: ProcessId,
         f: impl FnOnce(&mut A, &mut Context<'_, A::Message>),
     ) -> bool {
-        self.ensure_started();
-        let Some(s) = self.shard_index_of(id) else {
-            return false;
-        };
-        if !self.shards[s].nodes.get(&id).is_some_and(|n| n.crash.up) {
-            return false;
-        }
-        self.with_shard_actor(s, id, f);
-        true
-    }
-
-    /// The shard owning `id`, or `None` if `id` is not a process.
-    fn shard_index_of(&self, id: ProcessId) -> Option<usize> {
-        let idx = self.boundaries.partition_point(|&b| b <= id);
-        let s = idx.checked_sub(1)?;
-        self.shards[s].nodes.contains_key(&id).then_some(s)
-    }
-
-    /// Coordinator-side actor invocation: run the handler on the owning
-    /// shard, then route whatever it sent into the destination shards.
-    fn with_shard_actor(
-        &mut self,
-        s: usize,
-        id: ProcessId,
-        f: impl FnOnce(&mut A, &mut Context<'_, A::Message>),
-    ) {
-        {
-            let env = ShardEnv {
-                topology: &self.topology,
-                loss: &self.loss,
-                boundaries: &self.boundaries,
-                link_delay: self.options.link_delay,
-            };
-            self.shards[s].with_actor(&env, id, f);
-        }
-        // Route cross-shard sends directly (no worker is running).
-        for dst in 0..self.shards.len() {
-            if dst == s || self.shards[s].outbound[dst].is_empty() {
-                continue;
-            }
-            let batch = std::mem::take(&mut self.shards[s].outbound[dst]);
-            for envelope in batch {
-                self.shards[dst].in_flight.push(Reverse(envelope));
-            }
-        }
-    }
-
-    fn ensure_started(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        // Global ascending id order, exactly like the kernel: shards
-        // hold contiguous ascending ranges, visited in shard order.
-        for s in 0..self.shards.len() {
-            let ids = self.shards[s].ids.clone();
-            for id in ids {
-                self.with_shard_actor(s, id, |actor, ctx| actor.on_start(ctx));
-            }
-        }
+        self.sim.command(id, f)
     }
 }
 
@@ -810,51 +254,54 @@ where
 {
     /// Runs `n` ticks across all shards.
     ///
-    /// Spawns one scoped worker per shard for the duration of the
-    /// segment; workers synchronize twice per executed tick and take
-    /// fast-forward jumps by global consensus (see the module docs).
-    /// Faults and commands applied between calls therefore land at a
-    /// tick barrier on every shard simultaneously.
+    /// One worker runs inline on the caller's thread. With more, one
+    /// scoped thread per worker runs for the duration of the segment;
+    /// workers synchronize twice per executed tick and take fast-forward
+    /// jumps by global consensus (see the module docs). Faults and
+    /// commands applied between calls therefore land at a tick barrier on
+    /// every shard simultaneously.
     pub fn run_ticks(&mut self, n: u64) {
-        self.ensure_started();
-        if n == 0 {
+        let workers = self.workers();
+        if workers == 1 || n == 0 {
+            self.sim.run_ticks(n);
             return;
         }
-        let end = self.now + n;
-        let workers = self.shards.len();
-        let model = self.options.crash_model;
-        let event_driven = self.event_driven;
-        let env = ShardEnv {
-            topology: &self.topology,
-            loss: &self.loss,
-            boundaries: &self.boundaries,
-            link_delay: self.options.link_delay,
-        };
-        let shared: Shared<A::Message> = Shared {
-            mailboxes: (0..workers * workers)
-                .map(|_| Mutex::new(Vec::new()))
-                .collect(),
-            barrier: Barrier::new(workers),
-            status: Mutex::new(vec![ShardStatus::default(); workers]),
-        };
+        self.sim.ensure_started();
+        let end = self.now() + n;
+        let exchange = Exchange::new(workers);
+        let net = &self.sim.net;
         std::thread::scope(|scope| {
-            for shard in self.shards.iter_mut() {
-                let env = &env;
-                let shared = &shared;
-                scope.spawn(move || {
-                    shard.run_segment(env, shared, end, model, event_driven, workers);
-                });
+            for shard in self.sim.shards.iter_mut() {
+                let exchange = &exchange;
+                scope.spawn(move || shard.run_to(net, end, |shard| exchange.sync(shard)));
             }
         });
-        self.now = end;
-        debug_assert!(self.shards.iter().all(|s| s.now == end));
+    }
+
+    /// Runs until `predicate` holds, evaluating it only at multiples of
+    /// `check_every` ticks; see [`crate::Simulation::run_until_every`].
+    pub fn run_until_every(
+        &mut self,
+        predicate: impl FnMut(&ShardedKernel<A>) -> bool,
+        check_every: u64,
+        max_ticks: u64,
+    ) -> Option<SimTime> {
+        self.sim.ensure_started();
+        run_until_every(
+            self,
+            Self::now,
+            Self::run_ticks,
+            predicate,
+            check_every,
+            max_ticks,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Simulation;
+    use crate::{Simulation, TimerId};
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -950,29 +397,59 @@ mod tests {
         (received, sharded.metrics())
     }
 
-    #[test]
-    fn single_worker_is_draw_for_draw_identical_to_the_kernel() {
-        let topology = ring(8);
-        let mut loss = Configuration::new();
-        for link in topology.links() {
-            loss.set_loss(link, Probability::new(0.3).unwrap());
-        }
-        let mut kernel = Simulation::new(
-            topology.clone(),
-            loss.clone(),
-            make_relay(&topology),
-            SimOptions::default().with_seed(42),
-        );
-        kernel.command(p(0), |_, ctx| ctx.send(p(1), 6));
-        kernel.run_ticks(40);
-        let kernel_received: Vec<_> = kernel
-            .nodes()
-            .map(|(id, a)| (id, a.received.clone()))
-            .collect();
+    /// Records the thread every delivery runs on.
+    struct ThreadProbe {
+        neighbors: Vec<ProcessId>,
+        threads: Vec<std::thread::ThreadId>,
+    }
 
-        let (sharded_received, sharded_metrics) = run_sharded(&topology, &loss, 42, 1, 40);
-        assert_eq!(kernel_received, sharded_received);
-        assert_eq!(kernel.metrics(), &sharded_metrics);
+    impl Actor for ThreadProbe {
+        type Message = u64;
+
+        fn on_message(&mut self, ctx: &mut Context<'_, u64>, _: ProcessId, n: u64) {
+            self.threads.push(std::thread::current().id());
+            if n > 0 {
+                for &to in &self.neighbors {
+                    ctx.send(to, n - 1);
+                }
+            }
+        }
+
+        fn wants_ticks(&self) -> bool {
+            false
+        }
+    }
+
+    fn delivery_threads(workers: usize) -> Vec<std::thread::ThreadId> {
+        let topology = ring(6);
+        let mut sharded = ShardedKernel::new(
+            topology.clone(),
+            Configuration::new(),
+            |id| ThreadProbe {
+                neighbors: topology.neighbors(id).collect(),
+                threads: Vec::new(),
+            },
+            SimOptions::default(),
+            workers,
+        );
+        sharded.command(p(0), |_, ctx| ctx.send(p(1), 4));
+        sharded.run_ticks(20);
+        sharded
+            .nodes()
+            .flat_map(|(_, a)| a.threads.iter().copied())
+            .collect()
+    }
+
+    #[test]
+    fn one_worker_runs_inline_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        let inline = delivery_threads(1);
+        assert!(!inline.is_empty());
+        assert!(inline.iter().all(|&t| t == caller));
+        // The probe can tell: two workers deliver on spawned threads.
+        let spawned = delivery_threads(2);
+        assert!(!spawned.is_empty());
+        assert!(spawned.iter().all(|&t| t != caller));
     }
 
     #[test]

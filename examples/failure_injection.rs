@@ -10,7 +10,7 @@ use diffuse::core::scenario::{FaultAction, FaultScript, Scenario};
 use diffuse::core::{AdaptiveBroadcast, AdaptiveParams, ProtocolActor, ScenarioSim};
 use diffuse::graph::generators;
 use diffuse::model::{LinkId, Probability, ProcessId};
-use diffuse::sim::{SimTime, Simulation};
+use diffuse::sim::{ShardedKernel, SimTime};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     const N: u32 = 12;
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
     });
 
-    let estimate_at_p0 = |sim: &Simulation<ProtocolActor<AdaptiveBroadcast>>| {
+    let estimate_at_p0 = |sim: &ShardedKernel<ProtocolActor<AdaptiveBroadcast>>| {
         sim.node(ProcessId::new(0))
             .unwrap()
             .protocol()
