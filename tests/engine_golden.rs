@@ -1,7 +1,7 @@
 //! Absolute golden values for the simulation engine's frozen streams.
 //!
 //! The equivalence suites compare executors with each other; this file
-//! pins three fixed-seed scenarios against literal numbers instead, so a
+//! pins four fixed-seed scenarios against literal numbers instead, so a
 //! refactor of the tick engine that shifted every executor the same way
 //! (a reordered phase, a changed draw order, a different merge key)
 //! still fails here. Each scenario asserts the exact per-process
@@ -9,10 +9,12 @@
 
 use diffuse::core::scenario::{FaultAction, FaultScript, Scenario, ScenarioReport, Workload};
 use diffuse::core::{
-    AdaptiveBroadcast, AdaptiveParams, Adversary, CorruptionMode, Payload, ReferenceGossip,
+    AdaptiveBroadcast, AdaptiveParams, Adversary, CorruptionMode, NetworkKnowledge,
+    OptimalBroadcast, Payload, ReferenceGossip,
 };
 use diffuse::graph::generators;
-use diffuse::model::{Probability, ProcessId};
+use diffuse::model::{Configuration, LinkId, Probability, ProcessId};
+use diffuse::net::run_scenario_on_fabric_virtual;
 use diffuse::sim::{CrashModel, SimTime};
 
 fn p(i: u32) -> ProcessId {
@@ -143,4 +145,71 @@ fn two_worker_gossip_stream_is_frozen() {
     assert_eq!(report.skipped_faults, 0);
     assert_eq!(delivered(&report), [4, 4, 4, 5, 5, 5, 5, 5, 5, 5, 5, 5]);
     assert_eq!(totals(&report), [1048, 243, 727, 0, 0, 78]);
+}
+
+/// Optimal broadcast under Bernoulli crashes with a three-tick link
+/// delay: its per-link copy bursts are staggered one tick apart, a
+/// `SetLoss` and a `DegradeAll` change the loss table mid-run, and a
+/// scripted crash covers the arrival window of one broadcast's copies.
+fn staggered_optimal_scenario() -> (Scenario, NetworkKnowledge) {
+    let topology = generators::circulant(10, 4).unwrap();
+    let config = Configuration::uniform(
+        &topology,
+        Probability::new(0.02).unwrap(),
+        Probability::new(0.15).unwrap(),
+    );
+    let knowledge = NetworkKnowledge::exact(topology.clone(), config.clone());
+    let scenario = Scenario::builder(topology)
+        .config(config)
+        .crash_model(CrashModel::Bernoulli {
+            p: Probability::new(0.02).unwrap(),
+        })
+        .seed(0x5A66)
+        .link_delay(3)
+        .workload(
+            Workload::new()
+                .broadcast(SimTime::new(2), p(0), Payload::from("first"))
+                .broadcast(SimTime::new(10), p(3), Payload::from("into the crash"))
+                .burst(SimTime::new(24), p(6), 2)
+                .broadcast(SimTime::new(40), p(1), Payload::from("degraded")),
+        )
+        .faults(
+            FaultScript::new()
+                .at(
+                    SimTime::new(5),
+                    FaultAction::SetLoss {
+                        link: LinkId::new(p(0), p(1)).unwrap(),
+                        loss: Probability::new(0.6).unwrap(),
+                    },
+                )
+                // p4 goes down just after p3's broadcast leaves, while
+                // its copies are still in flight.
+                .at(
+                    SimTime::new(11),
+                    FaultAction::Crash {
+                        process: p(4),
+                        down_ticks: 6,
+                    },
+                )
+                .at(
+                    SimTime::new(35),
+                    FaultAction::DegradeAll {
+                        loss: Probability::new(0.3).unwrap(),
+                    },
+                ),
+        )
+        .build();
+    (scenario, knowledge)
+}
+
+#[test]
+fn staggered_optimal_stream_is_frozen_on_the_engine_and_the_virtual_fabric() {
+    let (scenario, knowledge) = staggered_optimal_scenario();
+    let make = |id| OptimalBroadcast::new(id, knowledge.clone(), 0.999);
+    let report = scenario.run_sim(80, make);
+    assert_eq!(report.skipped_faults, 0);
+    assert_eq!(delivered(&report), vec![5; 10]);
+    assert_eq!(totals(&report), [255, 57, 196, 2, 0, 0]);
+    let fabric = run_scenario_on_fabric_virtual(&scenario, 80, make);
+    assert_eq!(fabric, report);
 }
