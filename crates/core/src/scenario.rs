@@ -194,8 +194,9 @@ pub enum FaultAction {
 /// link's loss and force a process down. [`FaultAction::apply`] maps
 /// every fault variant onto these, so the mapping exists exactly once.
 ///
-/// The simulation driver ([`ScenarioSim`]) and `diffuse-net`'s fabric
-/// runners each supply one small adapter over their control handles.
+/// The simulation driver ([`ScenarioSim`], which also drives the
+/// virtual-time fabric) and `diffuse-net`'s wall-clock fabric runner and
+/// UDP cluster each supply one small adapter over their control handles.
 pub trait FaultSink {
     /// Overrides one link's loss probability for future transmissions.
     fn set_loss(&mut self, link: LinkId, loss: Probability);
@@ -223,9 +224,10 @@ impl FaultAction {
     ///
     /// This is the *single* definition of what each fault variant means
     /// (which links a partition cuts, what a heal restores, how a crash
-    /// translates), shared by the simulation kernel driver
-    /// ([`ScenarioSim`]) and both of `diffuse-net`'s fabric runners — so
-    /// the substrates cannot drift apart variant by variant. `base` is
+    /// translates), shared by the simulation engine's driver
+    /// ([`ScenarioSim`], which also drives the virtual-time fabric) and
+    /// `diffuse-net`'s wall-clock fabric and UDP cluster — so the
+    /// substrates cannot drift apart variant by variant. `base` is
     /// the scenario's base configuration, which [`FaultAction::Heal`]
     /// restores.
     ///
@@ -509,8 +511,9 @@ impl ScenarioReport {
 /// *semantics* of script application — fault-before-workload ordering at
 /// equal times, deferred-broadcast retries one tick later, pending
 /// broadcasts counting as failed at report time — are defined exactly
-/// once. [`ScenarioSim`] uses it against the simulation kernel;
-/// `diffuse_net`'s fabric runners use it against real threads.
+/// once. [`ScenarioSim`] uses it against the simulation engine (and so
+/// for the virtual-time fabric); `diffuse_net`'s wall-clock fabric and
+/// UDP cluster use it against real threads and processes.
 #[derive(Debug, Clone)]
 pub struct ScriptSchedule {
     workload: Vec<WorkloadEvent>,

@@ -3,11 +3,10 @@
 //! Every node runtime runs against a [`Clock`]. Under a [`WallClock`]
 //! the runtime maps real elapsed time onto logical [`SimTime`] ticks and
 //! sleeps on its transport between deadlines — the deployment behavior.
-//! Under a [`VirtualClock`](crate::VirtualClock) the runtime parks on a
-//! shared time authority ([`VirtualNet`](crate::VirtualNet)) that only
-//! advances virtual time when every runtime is quiescent, making fabric
-//! execution a deterministic function of `(scenario, seed)` with no real
-//! sleeping at all.
+//! Under a [`VirtualClock`](crate::VirtualClock) the runtime parks until
+//! its [`VirtualNode`](crate::VirtualNode) grants a turn from the
+//! simulation engine's schedule, making fabric execution a deterministic
+//! function of `(scenario, seed)` with no real sleeping at all.
 //!
 //! This module is the **only** file allowed to call `Instant::now`,
 //! `SystemTime::now`, or `thread::sleep` — the `diffuse-lint`
@@ -22,16 +21,16 @@ use crate::virtual_time::VirtualClock;
 
 /// The time source a node runtime is driven by.
 ///
-/// Constructed with [`Clock::wall`] for deployments and demos, or
-/// obtained from [`VirtualNet::clock`](crate::VirtualNet::clock) for
-/// deterministic virtual-time runs.
+/// Constructed with [`Clock::wall`] for deployments and demos; virtual
+/// clocks are made by [`VirtualNode::spawn`](crate::VirtualNode::spawn)
+/// for deterministic virtual-time runs.
 #[derive(Debug, Clone)]
 pub enum Clock {
     /// Real time: one logical tick corresponds to a fixed wall-clock
     /// interval, and the runtime sleeps on its transport.
     Wall(WallClock),
-    /// Virtual time: the runtime executes handler turns granted by a
-    /// [`VirtualNet`](crate::VirtualNet) and never touches the wall
+    /// Virtual time: the runtime executes handler turns granted by its
+    /// [`VirtualNode`](crate::VirtualNode) and never touches the wall
     /// clock.
     Virtual(VirtualClock),
 }

@@ -15,11 +15,11 @@
 //!   drives the protocol, schedules logical ticks from wall time, and
 //!   surfaces deliveries through a [`NodeHandle`];
 //! * [`Clock`] — wall time vs. virtual time. Under a
-//!   [`VirtualClock`] the node threads park on a [`VirtualNet`] time
-//!   authority that replays the simulation kernel's exact phase order
-//!   and RNG stream, making fabric runs deterministic and bit-comparable
-//!   to kernel runs (see [`run_scenario_on_fabric_virtual`] and
-//!   `tests/fabric_conformance.rs`).
+//!   [`VirtualClock`] each node thread parks until its [`VirtualNode`]
+//!   — a proxy protocol the simulation engine schedules — grants it a
+//!   turn, so fabric runs replay the engine's own schedule and are
+//!   bit-identical to kernel runs (see [`run_scenario_on_fabric_virtual`]
+//!   and `tests/fabric_conformance.rs`).
 //!
 //! # Example
 //!
@@ -55,7 +55,7 @@ pub use scenario::{run_scenario_on_fabric, run_scenario_on_fabric_virtual, Fabri
 pub use soak::{run_soak, SoakOptions, SoakReport};
 pub use transport::{Fabric, FabricControl, FabricTransport, Transport};
 pub use udp::{UdpTransport, MAX_DATAGRAM};
-pub use virtual_time::{BroadcastOutcome, VirtualClock, VirtualNet, VirtualOptions};
+pub use virtual_time::{VirtualClock, VirtualNode};
 
 /// Locks `mutex`, ignoring poisoning. Every update made under these
 /// locks (a counter bump, a table insert, one RNG draw) leaves the data

@@ -10,10 +10,10 @@
 //! away leaves the thread asleep for 100 tick intervals instead of
 //! being polled 100 times.
 //!
-//! Under a [`VirtualClock`](crate::VirtualClock) the loop parks on the
-//! fabric's time authority and executes handler turns exactly when and
-//! in the order the authority grants them — no wall clock, no sleeping,
-//! bit-reproducible runs (see [`crate::VirtualNet`]).
+//! Under a [`VirtualClock`](crate::VirtualClock) the loop parks until its
+//! [`VirtualNode`](crate::VirtualNode) grants a turn, and executes handler
+//! turns exactly when and in the order the simulation engine schedules
+//! them — no wall clock, no sleeping, bit-reproducible runs.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,7 +29,7 @@ use diffuse_sim::{SimTime, TimerId};
 use crate::clock::{Clock, WallClock, WallSession};
 use crate::codec::{decode_message, encode_message};
 use crate::lock;
-use crate::virtual_time::{BroadcastOutcome, Turn, VirtualClock};
+use crate::virtual_time::{Outcome, Turn, VirtualClock};
 use crate::{NetError, Transport};
 
 /// Commands accepted by a running node.
@@ -69,8 +69,8 @@ pub struct NodeHandle {
     /// The protocol's final [`ProtocolAudit`], written by the node
     /// thread as it exits.
     final_audit: Arc<Mutex<Option<ProtocolAudit>>>,
-    /// Set for virtual-time nodes: retiring the node from its authority
-    /// is what unblocks the parked thread on shutdown.
+    /// Set for virtual-time nodes: retiring the node's turn handoff is
+    /// what unblocks the parked thread on shutdown.
     vclock: Option<VirtualClock>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
@@ -81,16 +81,16 @@ impl NodeHandle {
     /// # Errors
     ///
     /// Returns [`NetError::Closed`] if the node has shut down, and
-    /// [`NetError::Unsupported`] on a virtual-time node — deterministic
-    /// runs issue broadcasts through
-    /// [`VirtualNet::broadcast`](crate::VirtualNet::broadcast), which
-    /// pins them to an exact virtual tick. Broadcast errors inside the
+    /// [`NetError::Unsupported`] on a virtual-time node — the engine
+    /// issues its broadcasts through its
+    /// [`VirtualNode`](crate::VirtualNode), which pins them to an exact
+    /// virtual tick. Broadcast errors inside the
     /// node (e.g. incomplete knowledge) are retried on subsequent
     /// wakeups until they succeed.
     pub fn broadcast(&self, payload: Payload) -> Result<(), NetError> {
         if self.vclock.is_some() {
             return Err(NetError::Unsupported(
-                "broadcasts on a virtual-time node go through VirtualNet::broadcast",
+                "a virtual-time node broadcasts on the turns its VirtualNode grants",
             ));
         }
         self.commands
@@ -107,12 +107,13 @@ impl NodeHandle {
     /// # Errors
     ///
     /// Returns [`NetError::Closed`] if the node has shut down, and
-    /// [`NetError::Unsupported`] on a virtual-time node (use
-    /// [`VirtualNet::force_down`](crate::VirtualNet::force_down)).
+    /// [`NetError::Unsupported`] on a virtual-time node (the engine
+    /// crashes its [`VirtualNode`](crate::VirtualNode), e.g. through a
+    /// scenario's `FaultAction::Crash`).
     pub fn inject_crash(&self, down_ticks: u64) -> Result<(), NetError> {
         if self.vclock.is_some() {
             return Err(NetError::Unsupported(
-                "crashes on a virtual-time node go through VirtualNet::force_down",
+                "a virtual-time node crashes in the engine's crash phase",
             ));
         }
         // A zero-length outage is a no-op on every substrate (the
@@ -137,12 +138,14 @@ impl NodeHandle {
     /// # Errors
     ///
     /// Returns [`NetError::Closed`] if the node has shut down, and
-    /// [`NetError::Unsupported`] on a virtual-time node (use
-    /// [`VirtualNet::inject_corrupt`](crate::VirtualNet::inject_corrupt)).
+    /// [`NetError::Unsupported`] on a virtual-time node (the engine
+    /// injects [`Event::Corrupt`] into its
+    /// [`VirtualNode`](crate::VirtualNode), e.g. through a scenario's
+    /// `FaultAction::Corrupt`).
     pub fn inject_corrupt(&self, mode: CorruptionMode, window: u64) -> Result<(), NetError> {
         if self.vclock.is_some() {
             return Err(NetError::Unsupported(
-                "corruption on a virtual-time node goes through VirtualNet::inject_corrupt",
+                "a virtual-time node is corrupted by an Event::Corrupt turn",
             ));
         }
         self.commands
@@ -183,9 +186,10 @@ impl NodeHandle {
     /// How many inbound frames failed to decode and were dropped.
     ///
     /// Malformed or truncated wire data is never an error and never a
-    /// panic — the frame is counted here and the loop moves on, on both
-    /// the wall and the virtual clock. A nonzero count against a
-    /// well-behaved fabric indicates frame corruption or a version skew.
+    /// panic — the frame is counted here and the loop moves on. A
+    /// nonzero count against a well-behaved fabric indicates frame
+    /// corruption or a version skew. Always zero on a virtual clock,
+    /// whose message turns carry decoded messages.
     pub fn malformed_frames(&self) -> u64 {
         self.malformed.load(Ordering::Relaxed)
     }
@@ -245,11 +249,10 @@ where
 ///
 /// Under [`Clock::Wall`], between events the thread sleeps until
 /// `min(next timer deadline, command poll)` — it does not busy-wake once
-/// per tick. Under [`Clock::Virtual`] the thread parks on the clock's
-/// [`VirtualNet`](crate::VirtualNet) authority and runs handler turns
-/// when granted; the transport must be one of the virtual fabric's own
-/// (see [`Fabric::build_virtual`](crate::Fabric::build_virtual)), and
-/// must belong to the same process id as the clock.
+/// per tick. Under [`Clock::Virtual`] the thread parks until its
+/// [`VirtualNode`](crate::VirtualNode) grants a turn; such clocks exist
+/// only inside [`VirtualNode::spawn`](crate::VirtualNode::spawn), which
+/// supplies the capturing transport.
 pub fn spawn_node_with_clock<P, T>(protocol: P, transport: T, clock: Clock) -> NodeHandle
 where
     P: Protocol + Send + 'static,
@@ -285,7 +288,6 @@ where
             virt,
             delivery_tx,
             wakeup_counter,
-            malformed_counter,
             audit_slot,
         ),
     });
@@ -463,22 +465,22 @@ fn run_wall_node<P, T>(
 }
 
 /// The virtual-clock turn loop: executes exactly the handler invocations
-/// the time authority grants, in the order it grants them.
+/// its [`VirtualNode`](crate::VirtualNode) grants, in the order it grants
+/// them.
 fn run_virtual_node<P, T>(
     mut protocol: P,
     transport: T,
     clock: VirtualClock,
     delivery_tx: Sender<(BroadcastId, Payload)>,
     wakeup_counter: Arc<AtomicU64>,
-    malformed_counter: Arc<AtomicU64>,
     audit_slot: Arc<Mutex<Option<ProtocolAudit>>>,
 ) where
     P: Protocol + Send + 'static,
     T: Transport + 'static,
 {
-    /// Retires the node from its authority on any exit, including an
-    /// unwinding protocol panic — the driver must never deadlock waiting
-    /// for a turn nobody will complete.
+    /// Retires the node on any exit, including an unwinding protocol
+    /// panic — the engine must never deadlock waiting for a turn nobody
+    /// will complete.
     struct RetireOnExit<'a>(&'a VirtualClock);
     impl Drop for RetireOnExit<'_> {
         fn drop(&mut self) {
@@ -488,55 +490,34 @@ fn run_virtual_node<P, T>(
     let _guard = RetireOnExit(&clock);
 
     let mut actions = Actions::new();
-    while let Some(turn) = clock.next_turn() {
+    while let Some((now, turn)) = clock.next_turn() {
         wakeup_counter.fetch_add(1, Ordering::Relaxed);
-        let now = clock.now();
-        let mut outcome = None;
-        let mut audit = None;
-        match turn {
-            Turn::Start => protocol.on_start(now, &mut actions),
-            Turn::Deliver { from, frame } => {
-                match decode_message(&frame) {
-                    Ok(message) => {
-                        protocol.on_event(now, Event::Message { from, message }, &mut actions)
-                    }
-                    // Malformed frames are counted and dropped, as on
-                    // the wall clock.
-                    Err(_) => {
-                        malformed_counter.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+        let outcome = match turn {
+            Turn::Start => {
+                protocol.on_start(now, &mut actions);
+                Outcome::Ran
             }
-            Turn::Timer(timer) => protocol.on_event(now, Event::Timer(timer), &mut actions),
-            Turn::Recover { down_ticks } => {
-                protocol.on_event(now, Event::Recovery { down_ticks }, &mut actions)
+            Turn::Event(event) => {
+                protocol.on_event(now, event, &mut actions);
+                Outcome::Ran
             }
             Turn::Broadcast(payload) => {
-                outcome = Some(match protocol.broadcast(now, payload, &mut actions) {
-                    Ok(_) => BroadcastOutcome::Issued,
-                    Err(CoreError::KnowledgeIncomplete) => BroadcastOutcome::Deferred,
-                    Err(_) => BroadcastOutcome::Failed,
-                });
+                Outcome::Broadcast(protocol.broadcast(now, payload, &mut actions))
             }
-            Turn::Corrupt { mode, window } => {
-                protocol.on_event(now, Event::Corrupt { mode, window }, &mut actions)
-            }
-            Turn::Audit => audit = Some(protocol.audit()),
-        }
-        // A broadcast that did not issue is not flushed — anything it
-        // buffered waits for the next handler, exactly like the kernel's
-        // ProtocolActor (whose failed broadcast_now returns before its
-        // flush).
-        let timer_ops = if matches!(
-            outcome,
-            Some(BroadcastOutcome::Deferred | BroadcastOutcome::Failed)
-        ) {
-            Vec::new()
-        } else {
-            flush(&mut actions, &transport, &delivery_tx);
-            actions.take_timer_ops()
+            Turn::Audit => Outcome::Audit(protocol.audit()),
         };
-        clock.complete_turn(timer_ops, outcome, audit);
+        // A broadcast that did not issue is not flushed — anything it
+        // buffered waits for the next handler, exactly like the engine's
+        // ProtocolActor (whose failed broadcast_now returns before its
+        // flush). An audit runs no handler and flushes nothing either.
+        let timer_ops = match outcome {
+            Outcome::Ran | Outcome::Broadcast(Ok(_)) => {
+                flush(&mut actions, &transport, &delivery_tx);
+                actions.take_timer_ops()
+            }
+            Outcome::Broadcast(Err(_)) | Outcome::Audit(_) => Vec::new(),
+        };
+        clock.complete_turn(timer_ops, outcome);
     }
     *lock(&audit_slot) = Some(protocol.audit());
 }

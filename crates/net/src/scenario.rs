@@ -12,34 +12,33 @@
 //!   different RNG stream and real scheduling, so outcomes are
 //!   statistically — not bitwise — equivalent to the kernel.
 //! * [`run_scenario_on_fabric_virtual`] — **virtual clock**: node
-//!   threads park on a [`VirtualNet`] time authority that reproduces the
-//!   kernel's phase ordering and RNG stream, so the run completes in
+//!   threads take their handler turns from the simulation engine's own
+//!   schedule (through [`VirtualNode`] proxies), so the run completes in
 //!   milliseconds of wall time, needs no settle slack, and its
 //!   [`ScenarioReport`] is *bit-identical* to `Scenario::run_sim` for
 //!   the same scenario — delivery counts, failure counts, and wire
 //!   metrics included.
 //!
-//! Every [`FaultAction`](diffuse_core::scenario::FaultAction) — including [`FaultAction::Crash`](diffuse_core::scenario::FaultAction::Crash), executed
-//! cooperatively by the node runtimes, and the adversarial pair
-//! [`FaultAction::Corrupt`](diffuse_core::scenario::FaultAction::Corrupt) /
-//! [`FaultAction::MessageAdversary`](diffuse_core::scenario::FaultAction::MessageAdversary) —
-//! runs on the virtual clock, so its [`ScenarioReport::skipped_faults`]
-//! is zero for every scenario. The wall-clock runner executes
-//! everything except `MessageAdversary` (its transports have no
-//! deterministic suppression hook); such events are counted in
-//! `skipped_faults` rather than silently dropped.
+//! On the virtual clock the engine applies every
+//! [`FaultAction`](diffuse_core::scenario::FaultAction), so its
+//! [`ScenarioReport::skipped_faults`] is zero for every scenario. The
+//! wall-clock runner executes everything except
+//! [`FaultAction::MessageAdversary`](diffuse_core::scenario::FaultAction::MessageAdversary)
+//! (its transports have no deterministic suppression hook); a
+//! [`FaultAction::Crash`](diffuse_core::scenario::FaultAction::Crash)
+//! runs cooperatively in the node runtimes. Skipped events are counted
+//! in `skipped_faults` rather than silently dropped.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::time::Duration;
 
-use diffuse_core::scenario::{FaultAction, FaultSink, Scenario, ScenarioReport, ScriptSchedule};
-use diffuse_core::{Containment, CorruptionMode, Protocol, ProtocolAudit};
+use diffuse_core::scenario::{FaultSink, Scenario, ScenarioReport, ScenarioSim, ScriptSchedule};
+use diffuse_core::{Containment, CorruptionMode, Protocol};
 use diffuse_model::{Probability, ProcessId};
 use diffuse_sim::SimTime;
 
 use crate::clock::{Clock, WallClock};
-use crate::virtual_time::{BroadcastOutcome, VirtualNet, VirtualOptions};
-use crate::{spawn_node_with_clock, Fabric, FabricControl, NodeHandle};
+use crate::{spawn_node_with_clock, Fabric, FabricControl, NodeHandle, VirtualNode};
 
 /// Options for a wall-clock fabric scenario run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,8 +49,8 @@ pub struct FabricScenarioOptions {
     pub run_ticks: u64,
     /// Extra wall-clock settle time after the last tick, letting
     /// in-flight frames and deliveries drain. (Wall clock only — the
-    /// virtual-time runner needs no settle slack: when the authority
-    /// reaches the horizon, nothing is in flight by construction.)
+    /// virtual-time runner needs no settle slack: it reports the
+    /// engine's state at the horizon.)
     pub settle: Duration,
 }
 
@@ -171,7 +170,7 @@ where
 /// The wall-clock fabric's [`FaultSink`]: loss overrides go through the
 /// [`FabricControl`], crashes become cooperative windows on the node
 /// runtimes. The per-variant semantics live in [`FaultAction::apply`](diffuse_core::scenario::FaultAction::apply),
-/// shared with the kernel driver and the virtual runner.
+/// shared with the engine's scenario driver.
 struct WallSink<'a> {
     control: &'a FabricControl,
     handles: &'a BTreeMap<ProcessId, NodeHandle>,
@@ -203,13 +202,15 @@ impl FaultSink for WallSink<'_> {
 /// Runs `scenario` on the virtual-time fabric for `run_ticks` virtual
 /// ticks and reports deliveries.
 ///
-/// The run is a deterministic function of the scenario (including its
-/// seed): calling this twice yields byte-identical reports, and the
-/// report equals `scenario.run_sim(run_ticks, make)`'s field for field —
-/// per-process delivery counts, failed-broadcast counts, skipped faults
-/// (zero on both) *and* wire [`Metrics`](diffuse_sim::Metrics). No wall
-/// time is consumed beyond the actual compute; there are no settle
-/// sleeps.
+/// Every process runs on its own node thread, behind a [`VirtualNode`]
+/// in the simulation engine's one-worker [`ScenarioSim`]: the engine's
+/// schedule grants each handler turn, and the engine applies the script.
+/// The report therefore equals `scenario.run_sim(run_ticks, make)`'s
+/// field for field — per-process delivery counts, failed-broadcast
+/// counts, skipped faults (zero on both), containment *and* wire
+/// [`Metrics`](diffuse_sim::Metrics) — and calling this twice yields
+/// byte-identical reports. No wall time is consumed beyond the actual
+/// compute; there are no settle sleeps.
 pub fn run_scenario_on_fabric_virtual<P, F>(
     scenario: &Scenario,
     run_ticks: u64,
@@ -219,109 +220,9 @@ where
     P: Protocol + Send + 'static,
     F: FnMut(ProcessId) -> P,
 {
-    let (mut transports, net) = Fabric::build_virtual(
-        &scenario.topology,
-        scenario.config.clone(),
-        scenario.seed,
-        VirtualOptions::for_scenario(scenario),
-    );
-    let ids: Vec<ProcessId> = scenario.topology.processes().collect();
-    let mut handles: BTreeMap<ProcessId, NodeHandle> = BTreeMap::new();
-    for &id in &ids {
-        let transport = transports.remove(&id).expect("one transport per process");
-        handles.insert(
-            id,
-            spawn_node_with_clock(make(id), transport, Clock::Virtual(net.clock(id))),
-        );
-    }
-
-    // The driver below is the kernel's ScenarioSim::run_ticks, executed
-    // against the time authority instead of the Simulation: apply due
-    // script events, advance to the next script time (or the horizon),
-    // repeat. Faults at t=0 land before the on_start turns — the same
-    // order the kernel's lazy ensure_started produces.
-    let mut script = ScriptSchedule::new(scenario);
-    let mut skipped = 0u64;
-    let mut corrupt: BTreeSet<ProcessId> = BTreeSet::new();
-    let end = SimTime::new(run_ticks);
-    loop {
-        let now = net.now();
-        if now >= end {
-            break;
-        }
-        for action in script.due_faults(now) {
-            if let FaultAction::Corrupt { process, .. } = &action {
-                corrupt.insert(*process);
-            }
-            skipped += action.apply(&scenario.topology, &scenario.config, &mut VirtualSink(&net));
-        }
-        net.start();
-        for event in script.due_broadcasts(now) {
-            match net.broadcast(event.origin, event.payload.clone()) {
-                BroadcastOutcome::Issued => {}
-                BroadcastOutcome::Deferred => script.defer(now + 1, event),
-                BroadcastOutcome::Failed => script.record_failed(),
-            }
-        }
-        let target = script.next_time().filter(|&t| t <= end).unwrap_or(end);
-        net.run_ticks(target - net.now());
-    }
-
-    // Collect per-node protocol audits while the node threads are
-    // still parked (an audit turn runs no handler and draws no
-    // randomness), then assemble containment exactly as the kernel
-    // driver does.
-    let audits: BTreeMap<ProcessId, ProtocolAudit> =
-        ids.iter().map(|&id| (id, net.audit(id))).collect();
-    let suppressed = net.suppressed_by_adversary();
-
-    // Nothing is in flight past the horizon by construction; release
-    // the parked node threads and collect.
-    net.shutdown();
-    let mut delivered = BTreeMap::new();
-    for (&id, handle) in &handles {
-        let mut count = 0u64;
-        while let Ok(Some(_)) = handle.next_delivery(Duration::from_millis(1)) {
-            count += 1;
-        }
-        delivered.insert(id, count);
-    }
-    for (_, handle) in handles {
-        handle.shutdown();
-    }
-
-    ScenarioReport {
-        delivered,
-        failed_broadcasts: script.failed_broadcasts() + script.pending(),
-        skipped_faults: skipped,
-        containment: Containment::assemble(&corrupt, &audits, suppressed),
-        metrics: Some(net.metrics()),
-    }
-}
-
-/// The virtual-time authority's [`FaultSink`]. The per-variant
-/// semantics live in [`FaultAction::apply`](diffuse_core::scenario::FaultAction::apply) — the *same* code path the
-/// kernel's `ScenarioSim` executes, which is what keeps fault behavior
-/// bit-comparable across substrates.
-struct VirtualSink<'a>(&'a VirtualNet);
-
-impl FaultSink for VirtualSink<'_> {
-    fn set_loss(&mut self, link: diffuse_model::LinkId, loss: Probability) {
-        self.0.set_loss(link, loss);
-    }
-
-    fn force_down(&mut self, process: ProcessId, down_ticks: u64) {
-        self.0.force_down(process, down_ticks);
-    }
-
-    fn inject_corrupt(&mut self, process: ProcessId, mode: CorruptionMode, window: u64) -> bool {
-        self.0.inject_corrupt(process, mode, window)
-    }
-
-    fn set_message_adversary(&mut self, d: u32, window: u64) -> bool {
-        self.0.set_message_adversary(d, window);
-        true
-    }
+    let mut run = ScenarioSim::new(scenario, 1, |id| VirtualNode::spawn(make(id)));
+    run.run_ticks(run_ticks);
+    run.report()
 }
 
 #[cfg(test)]

@@ -12,7 +12,6 @@ use rand::SeedableRng;
 
 use crate::codec::frame_kind;
 use crate::lock;
-use crate::virtual_time::{VirtualCore, VirtualNet, VirtualOptions};
 use crate::NetError;
 
 /// A point-to-point frame transport bound to one process.
@@ -60,14 +59,8 @@ struct FabricShared {
     inboxes: BTreeMap<ProcessId, Sender<(ProcessId, Vec<u8>)>>,
     /// Transport-level wire counters for wall-clock runs (sent / lost /
     /// enqueued-as-delivered per kind and link). Best effort: see
-    /// [`FabricControl::metrics`] for the caveats. The virtual-time
-    /// fabric bypasses this (its authority accounts kernel-exact
-    /// metrics).
+    /// [`FabricControl::metrics`] for the caveats.
     metrics: Mutex<Metrics>,
-    /// Set on a virtual-time fabric: sends route through the time
-    /// authority (deterministic loss sampling, staggered arrival
-    /// scheduling) instead of the wall-clock channel path above.
-    virtual_core: Option<Arc<VirtualCore>>,
 }
 
 /// A lossy in-memory network connecting a set of [`FabricTransport`]s
@@ -122,44 +115,6 @@ impl Fabric {
         loss: Configuration,
         seed: u64,
     ) -> (BTreeMap<ProcessId, FabricTransport>, FabricControl) {
-        let (transports, shared) = Fabric::assemble(topology, loss, seed, None);
-        (transports, FabricControl { shared })
-    }
-
-    /// Builds a *virtual-time* fabric: one transport per process plus the
-    /// [`VirtualNet`] time authority that schedules every delivery, timer
-    /// and loss draw deterministically. Spawn each transport with
-    /// [`spawn_node_with_clock`](crate::spawn_node_with_clock) and
-    /// [`Clock::Virtual`](crate::Clock::Virtual)`(net.clock(id))`, then
-    /// drive the run through the returned [`VirtualNet`].
-    ///
-    /// A virtual fabric run is a deterministic function of
-    /// `(topology, loss, seed, options, script)`: re-running it yields a
-    /// byte-identical outcome, and running the same scenario on the
-    /// simulation kernel yields the *same* delivery counts and wire
-    /// metrics (asserted by `tests/fabric_conformance.rs`).
-    pub fn build_virtual(
-        topology: &Topology,
-        loss: Configuration,
-        seed: u64,
-        options: VirtualOptions,
-    ) -> (BTreeMap<ProcessId, FabricTransport>, VirtualNet) {
-        let net = VirtualNet::new(topology.clone(), loss, seed, options);
-        // The authority owns the live loss table and RNG; the wall-path
-        // copies in FabricShared would be dead state, so the shared
-        // side carries an empty configuration and a fixed seed instead
-        // of a second, misleading source of truth.
-        let (transports, _shared) =
-            Fabric::assemble(topology, Configuration::new(), 0, Some(net.core()));
-        (transports, net)
-    }
-
-    fn assemble(
-        topology: &Topology,
-        loss: Configuration,
-        seed: u64,
-        virtual_core: Option<Arc<VirtualCore>>,
-    ) -> (BTreeMap<ProcessId, FabricTransport>, Arc<FabricShared>) {
         let mut inboxes = BTreeMap::new();
         let mut receivers = BTreeMap::new();
         for p in topology.processes() {
@@ -173,7 +128,6 @@ impl Fabric {
             rng: Mutex::new((StdRng::seed_from_u64(seed), LossBatcher::new())),
             inboxes,
             metrics: Mutex::new(Metrics::new()),
-            virtual_core,
         });
         let transports = receivers
             .into_iter()
@@ -188,7 +142,7 @@ impl Fabric {
                 )
             })
             .collect();
-        (transports, shared)
+        (transports, FabricControl { shared })
     }
 }
 
@@ -254,14 +208,6 @@ impl Transport for FabricTransport {
     }
 
     fn send(&self, to: ProcessId, frame: &[u8]) -> Result<(), NetError> {
-        // On a virtual-time fabric the authority owns link validation,
-        // loss sampling and arrival scheduling; invalid destinations are
-        // counted there (as the kernel counts them), not surfaced as
-        // errors.
-        if let Some(core) = &self.shared.virtual_core {
-            core.send(self.id, to, frame);
-            return Ok(());
-        }
         // One metrics guard per send: every node thread shares this
         // mutex, so the hot path must not re-acquire it per counter.
         let Ok(link) = LinkId::new(self.id, to) else {

@@ -6,9 +6,10 @@
 
 use std::time::Duration;
 
+use diffuse_core::scenario::{Scenario, ScenarioSim};
 use diffuse_core::{NetworkKnowledge, OptimalBroadcast};
 use diffuse_model::{Configuration, ProcessId, Topology};
-use diffuse_net::{spawn_node, spawn_node_with_clock, Clock, Fabric, VirtualOptions};
+use diffuse_net::{spawn_node, Fabric, VirtualNode};
 
 /// CPU time consumed by this process so far, from /proc (Linux CI).
 #[cfg(target_os = "linux")]
@@ -70,8 +71,8 @@ fn idle_node_sleeps_instead_of_busy_waking() {
 
 /// Under the virtual clock the bound is not statistical but *exact*: an
 /// idle node performs zero wakeups across any idle stretch, because the
-/// time authority fast-forwards over eventless ticks without granting a
-/// single turn. (The wall-clock loop above can only bound its wakeups by
+/// simulation engine fast-forwards over eventless ticks without granting
+/// a single turn. (The wall-clock loop above can only bound its wakeups by
 /// the command-poll cadence; a /proc CPU-time ceiling was the best it
 /// could assert.)
 #[test]
@@ -81,40 +82,30 @@ fn idle_virtual_node_performs_zero_wakeups() {
         .add_link(ProcessId::new(0), ProcessId::new(1))
         .unwrap();
     let knowledge = NetworkKnowledge::exact(topology.clone(), Configuration::new());
-    let (mut transports, net) = Fabric::build_virtual(
-        &topology,
-        Configuration::new(),
-        7,
-        VirtualOptions::default(),
-    );
+    let scenario = Scenario::builder(topology).seed(7).build();
     // OptimalBroadcast schedules no timers: both nodes are fully idle.
-    let handles: Vec<_> = [ProcessId::new(0), ProcessId::new(1)]
-        .into_iter()
-        .map(|id| {
-            spawn_node_with_clock(
-                OptimalBroadcast::new(id, knowledge.clone(), 0.99),
-                transports.remove(&id).unwrap(),
-                Clock::Virtual(net.clock(id)),
-            )
-        })
-        .collect();
+    let mut run = ScenarioSim::new(&scenario, 1, |id| {
+        VirtualNode::spawn(OptimalBroadcast::new(id, knowledge.clone(), 0.99))
+    });
+    let wakeups = |run: &ScenarioSim<VirtualNode>| -> Vec<u64> {
+        run.sim()
+            .nodes()
+            .map(|(_, actor)| actor.protocol().wakeups())
+            .collect()
+    };
 
-    net.start();
-    let after_start: Vec<u64> = handles.iter().map(|h| h.wakeups()).collect();
+    // A zero-tick run starts the engine: every node's on_start turn.
+    run.sim_mut().run_ticks(0);
+    let after_start = wakeups(&run);
     assert_eq!(after_start, vec![1, 1], "exactly the on_start turn each");
 
     // A hundred thousand idle virtual ticks: zero additional wakeups —
     // not "few", zero.
-    net.run_ticks(100_000);
-    assert_eq!(net.now().ticks(), 100_000);
-    let after_idle: Vec<u64> = handles.iter().map(|h| h.wakeups()).collect();
+    run.run_ticks(100_000);
+    assert_eq!(run.sim().now().ticks(), 100_000);
     assert_eq!(
-        after_idle, after_start,
+        wakeups(&run),
+        after_start,
         "an idle stretch must wake nobody under virtual time"
     );
-
-    net.shutdown();
-    for handle in handles {
-        handle.shutdown();
-    }
 }

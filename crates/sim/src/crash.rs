@@ -62,12 +62,8 @@ impl CrashModel {
     }
 }
 
-/// Per-process crash state, advanced once per tick by the kernel.
-///
-/// Public so that substrates other than the simulation kernel — notably
-/// `diffuse-net`'s virtual-time fabric — can reproduce the kernel's
-/// crash phase bit-exactly: same state machine, same RNG draw pattern,
-/// same recovery reporting.
+/// Per-process crash state, advanced once per tick by the engine's crash
+/// phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashState {
     /// Whether the process is currently up.

@@ -7,8 +7,11 @@
 //! are written here once and serve every worker count: one worker runs
 //! the loop inline on the caller's thread, and [`crate::ShardedKernel`]
 //! runs `W > 1` workers on threads, exchanging their cross-range mail at
-//! a tick barrier. The virtual-time fabric in `diffuse-net` writes the
-//! tick independently and is the oracle for its phase and draw order.
+//! a tick barrier. The virtual-time fabric in `diffuse-net` has no tick
+//! of its own: its node threads take their handler turns from this
+//! engine's schedule, so it replays the engine by construction. The
+//! oracle for the phase and draw order is `tests/engine_golden.rs`,
+//! which pins fixed-seed runs to literal values.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
@@ -515,7 +518,7 @@ impl<A: Actor> Shard<A> {
     /// rather than one `gen_bool` per message: the RNG is consulted only
     /// when a lossy cell needs a fresh run length, in send order per the
     /// sampler's documented total order, so seeded streams stay frozen
-    /// and the virtual-time fabric replays this loop bit-exactly.
+    /// and every executor built on this engine replays it bit-exactly.
     /// Scheduled messages go to this worker's heap or, when the receiver
     /// belongs to another worker, to that worker's outbound batch.
     fn flush_outbox(&mut self, net: &Net, from: ProcessId) {

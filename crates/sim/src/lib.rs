@@ -11,8 +11,9 @@
 //! * [`ShardedKernel`] — the same engine over `W ≥ 1` id-range workers,
 //!   one thread each when `W > 1`. The tick is written once, in the
 //!   engine; one worker runs it inline and *is* [`Simulation`]. The
-//!   virtual-time fabric in `diffuse-net` writes the tick independently
-//!   and is the oracle for its phase and draw order;
+//!   virtual-time fabric in `diffuse-net` replays this engine's own
+//!   schedule, and `tests/engine_golden.rs` pins its phase and draw
+//!   order to literal values;
 //! * [`Actor`] — the protocol interface (message/tick/recovery handlers);
 //! * [`CrashModel`] — process crash/recovery processes realizing the
 //!   paper's stationary down-fraction `P_i` (i.i.d. per tick, or a
@@ -38,7 +39,7 @@ mod shard_rng;
 mod time;
 
 pub use adversary::{suppression_seed, MessageAdversary};
-pub use crash::{CrashModel, CrashState};
+pub use crash::CrashModel;
 pub use kernel::{Actor, Context, SimMessage, SimOptions, Simulation};
 pub use loss::LossBatcher;
 pub use metrics::Metrics;

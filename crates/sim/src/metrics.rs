@@ -34,9 +34,8 @@ impl Metrics {
     /// Monte-Carlo hot path.
     ///
     /// The recorders are public so alternate substrates (e.g.
-    /// `diffuse-net`'s virtual-time fabric) can account their wire events
-    /// in the same counters and be compared field-for-field against a
-    /// kernel run.
+    /// `diffuse-net`'s wall-clock fabric) can account their wire events
+    /// in the same counters.
     pub fn record_sent_batch(&mut self, link: LinkId, kind: &'static str, n: u64) {
         self.sent_total += n;
         *self.sent_by_kind.entry(kind).or_insert(0) += n;

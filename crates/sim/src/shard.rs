@@ -12,9 +12,10 @@
 //!
 //! One engine serves every `W ≥ 1`: with one worker the loop runs inline
 //! on the caller's thread, with no spawn and no barrier, and is the
-//! [`crate::Simulation`] tick itself. The virtual-time fabric in
-//! `diffuse-net` writes the tick independently and is the oracle for its
-//! phase and draw order.
+//! [`crate::Simulation`] tick itself; the virtual-time fabric in
+//! `diffuse-net` takes its turns from that same tick.
+//! `tests/engine_golden.rs` pins the phase and draw order to literal
+//! values.
 //!
 //! # Determinism contract
 //!

@@ -3,12 +3,12 @@
 //! *virtual-time fabric* of real threads, producing bit-identical
 //! reports.
 //!
-//! Under a [`VirtualClock`](diffuse::net::VirtualClock), node threads
-//! park on a [`VirtualNet`](diffuse::net::VirtualNet) time authority
-//! that replays the kernel's phase order and RNG stream, so a fabric
-//! run is a pure function of `(scenario, seed)`: no sleeps, no settle
-//! margins, no flaky assertions — and running it twice gives you the
-//! same bytes.
+//! Under a [`VirtualClock`](diffuse::net::VirtualClock), each node
+//! thread parks until its [`VirtualNode`](diffuse::net::VirtualNode)
+//! proxy grants it a turn from the simulation engine's own schedule, so
+//! a fabric run is a pure function of `(scenario, seed)`: no sleeps, no
+//! settle margins, no flaky assertions — and running it twice gives you
+//! the same bytes.
 //!
 //! ```text
 //! cargo run --release --example deterministic_fabric

@@ -25,8 +25,8 @@
 //!   [`Scenario`](core::Scenario) engine;
 //! * [`net`] — wire codec, lossy in-memory fabric, UDP transport, and a
 //!   deadline-sleeping node runtime that also runs under a *virtual
-//!   clock* ([`net::VirtualNet`]) for deterministic, kernel-bit-exact
-//!   fabric executions.
+//!   clock* ([`net::VirtualNode`]), taking its turns from the simulation
+//!   engine, for deterministic, kernel-bit-exact fabric executions.
 //!
 //! # Quickstart
 //!
